@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Commands: calibrate, value, oracle, simulate, bsde-check, expcase, verify.
-Configuration precedence: command-line flags, then an optional flat
-`key = value` config file (# comments), then built-in defaults.  The
-environment variable TARGETCOST_SEED overrides the default seed.
+An optional flat `key = value` config file (# comments) is read as the
+flags `--key=value`, placed before the command-line flags, so each key is
+checked like its flag and precedence is flags, then the file, then built-in
+defaults.  The environment variable TARGETCOST_SEED fills a seed that
+neither sets.
 
 Exit codes: 0 success, 2 usage error, 3 calibration or convergence
 failure, 4 verification failure.
@@ -46,8 +48,9 @@ def _jsonable(obj):
     return obj
 
 
-def _read_config(path):
-    values = {}
+def _config_flags(path):
+    """The config file's `key = value` lines as `--key=value` tokens."""
+    flags = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.split("#", 1)[0].strip()
@@ -56,30 +59,8 @@ def _read_config(path):
             if "=" not in stripped:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
-            values[key.strip().replace("-", "_")] = raw.strip()
-    return values
-
-
-def _apply_config(args, parser_defaults):
-    """Fill argparse results: explicit flags win, then config, then defaults."""
-    config = _read_config(args.config) if args.config else {}
-    for key, default in parser_defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in config:
-            raw = config[key]
-            caster = type(default) if default is not None else str
-            if caster is bool:
-                value = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                try:
-                    value = caster(raw)
-                except ValueError as exc:
-                    raise UsageError(f"config key '{key}': {exc}") from exc
-            setattr(args, key, value)
-        else:
-            setattr(args, key, default)
-    return args
+            flags.append(f"--{key.strip().replace('_', '-')}={raw.strip()}")
+    return flags
 
 
 def _default_seed():
@@ -248,19 +229,14 @@ def build_parser():
                     "verification for Brownian terminal-target cost "
                     "minimization.")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {}
 
     def add(cmd, fn, flags):
         sp = sub.add_parser(cmd)
         sp.set_defaults(fn=fn)
-        cmd_defaults = {}
         sp.add_argument("--config", default=None,
                         help="flat key = value config file")
         for name, kwargs in flags:
-            default = kwargs.pop("default", None)
-            cmd_defaults[name.lstrip("-").replace("-", "_")] = default
-            sp.add_argument(name, default=None, **kwargs)
-        defaults[cmd] = cmd_defaults
+            sp.add_argument(name, **kwargs)
         return sp
 
     add("calibrate", cmd_calibrate, [
@@ -327,7 +303,7 @@ def build_parser():
                              help="test hook: bump the kernel before the "
                                   "backward-identity suite")),
     ])
-    return parser, defaults
+    return parser
 
 
 def _validate(args):
@@ -352,15 +328,19 @@ def _validate(args):
 
 
 def main(argv=None):
-    parser, defaults = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, defaults[args.command])
-        if getattr(args, "seed", None) is None and "seed" in defaults[args.command]:
+        if args.config:
+            # The command comes first (there are no global flags); the
+            # file's flags go right after it, so the user's own flags win.
+            args = parser.parse_args(argv[:1] + _config_flags(args.config)
+                                     + argv[1:])
+        if "seed" in vars(args) and args.seed is None:
             args.seed = _default_seed()
-        if getattr(args, "threads", None) in (None, 0):
-            if "threads" in defaults[args.command]:
-                args.threads = os.cpu_count() or 1
+        if getattr(args, "threads", None) == 0:
+            args.threads = os.cpu_count() or 1
         for key in ("out", "profile", "dump_paths", "summary_out", "report"):
             if getattr(args, key, None) == "":
                 setattr(args, key, None)

@@ -18,8 +18,10 @@ slope.  The shooter nests a bisection on the slope (matching the right
 boundary, where the value must vanish) inside a bisection on g(1/2)
 (matching the left boundary, where the value must reach 1).
 
-Curves store (y, g, dg/dy) on a grid uniform in z, are interpolated with a
-shape-preserving monotone cubic, and serialize to CSV plus a JSON sidecar.
+Curves store (y, g, dg/dy) on a grid uniform in z and serialize to CSV plus
+a JSON sidecar.  Every kernel lookup goes through one evaluator, eval_g_z:
+the cubic Hermite interpolant in z through the stored values and the exact
+slopes g_z = dg/dy * pdf(z) that the integration produces.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import CalibrationError, DivergenceError, DomainError, RangeError, UsageError
 from .normals import (
@@ -230,27 +231,28 @@ class GCurve:
             object.__setattr__(self, "gzs", self.dgs * std_normal_pdf(z))
 
     @cached_property
-    def _pchip(self):
-        return PchipInterpolator(self.ys, self.gs, extrapolate=False)
+    def _hermite(self):
+        # (z0, 1/dz, one row of Horner coefficients per grid cell) of the
+        # cubic Hermite interpolant in z.  Built from (ys, gs, dgs) alone, so a
+        # curve reloaded from CSV evaluates bit-identically to the original.
+        zs = std_normal_quantile(self.ys)
+        dz = (zs[-1] - zs[0]) / (len(zs) - 1)
+        if np.max(np.abs(np.diff(zs) - dz)) > 1e-9 * abs(dz):
+            raise UsageError("kernel evaluation needs the uniform quantile grid")
+        slope = self.dgs * std_normal_pdf(zs) * dz  # g_z per cell width
+        rise = np.diff(self.gs)
+        s0, s1 = slope[:-1], slope[1:]
+        coeffs = np.column_stack(
+            (self.gs[:-1], s0, 3.0 * rise - 2.0 * s0 - s1, s0 + s1 - 2.0 * rise))
+        return float(zs[0]), 1.0 / dz, coeffs
 
-    @cached_property
-    def _pchip_deriv(self):
-        return self._pchip.derivative()
-
-    @cached_property
-    def _value_coeffs(self):
-        # Raw piecewise-cubic coefficients for the value-only fast path.
-        c = self._pchip.c
-        return c[0], c[1], c[2], c[3]
-
-    @cached_property
-    def _uniform_z_grid(self):
-        # (z0, 1/dz) when the grid is uniform in the quantile coordinate,
-        # letting callers map a z-score to its interval without a search.
-        dz = np.diff(self.zs)
-        if len(dz) and np.max(np.abs(dz - dz[0])) <= 1e-9 * abs(dz[0]):
-            return float(self.zs[0]), 1.0 / float(dz[0])
-        return None
+    def check_params(self, params):
+        """params as a Params record (tuples are coerced) for this curve's p."""
+        if not isinstance(params, Params):
+            params = Params(*params)
+        if abs(params.p - self.p) > 1e-12:
+            raise UsageError(f"curve calibrated for p={self.p}, got p={params.p}")
+        return params
 
     @property
     def left_residual(self):
@@ -493,47 +495,58 @@ def shoot(p, epsilon=DEFAULT_EPSILON, boundary_tol=DEFAULT_BOUNDARY_TOL, *,
         ambiguous=len(brackets) > 1, candidate_brackets=tuple(brackets))
 
 
-def eval_g(curve, y):
-    """Value and derivative of the interpolated curve at level(s) y in (0, 1).
+def eval_g_z(curve, z, y=None, *, slope=False):
+    """Kernel value at quantile coordinates z (a 1-d array), and with slope
+    set also the z-derivative g_z: returns g or (g, g_z).
 
-    Inside the stored range this is the monotone cubic (exact stored values
-    and derivatives at the nodes); outside, a slope extrapolation from the
-    nearest endpoint clamped into [0, 1] with the endpoint derivative.
+    Inside the stored range this is the cubic Hermite interpolant in z
+    through the stored values and slopes, with the cell found by arithmetic
+    on the uniform grid.  Outside, it is the linear extrapolation in the
+    level y = cdf(z) from the nearest end, clamped into [0, 1], with the
+    end's y-slope.  y, when the caller holds the levels, spares the cdf
+    there.
+    """
+    z0, inv_dz, coeffs = curve._hermite
+    n_cells = len(coeffs)
+    u = (z - z0) * inv_dz
+    k = u.astype(np.intp)
+    np.clip(k, 0, n_cells - 1, out=k)
+    t = u - k
+    a0, a1, a2, a3 = np.take(coeffs, k, axis=0).T
+    g = ((a3 * t + a2) * t + a1) * t + a0
+    gz = ((3.0 * a3 * t + 2.0 * a2) * t + a1) * inv_dz if slope else None
+    ys, gs, dgs = curve.ys, curve.gs, curve.dgs
+    for tail, end in ((u < 0.0, 0), (u > n_cells, -1)):
+        if np.any(tail):
+            yt = std_normal_cdf(z[tail]) if y is None else y[tail]
+            g[tail] = np.clip(gs[end] + dgs[end] * (yt - ys[end]), 0.0, 1.0)
+            if slope:
+                gz[tail] = dgs[end] * std_normal_pdf(z[tail])
+    return (g, gz) if slope else g
+
+
+def eval_g(curve, y):
+    """Value and derivative dg/dy of the curve at level(s) y in (0, 1).
+
+    eval_g_z at z = quantile(y).  Exact node hits return the stored value
+    and derivative; outside the stored range the derivative is the end's.
     """
     arr = np.asarray(y, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("y must lie strictly inside (0, 1)")
     scalar = np.ndim(y) == 0
     arr = np.atleast_1d(arr)
+    z = std_normal_quantile(arr)
+    g_out, gz = eval_g_z(curve, z, arr, slope=True)
+    dg_out = gz / std_normal_pdf(z)
 
     ys, gs, dgs = curve.ys, curve.gs, curve.dgs
-    g_out = np.empty_like(arr)
-    dg_out = np.empty_like(arr)
-
-    below = arr < ys[0]
-    above = arr > ys[-1]
-    inside = ~(below | above)
-    if np.any(inside):
-        xi = arr[inside]
-        g_out[inside] = curve._pchip(xi)
-        dg_out[inside] = curve._pchip_deriv(xi)
-        # Exact node hits return the stored derivative, not the interpolant's.
-        idx = np.searchsorted(ys, xi)
-        idx = np.clip(idx, 0, len(ys) - 1)
-        at_node = ys[idx] == xi
-        if np.any(at_node):
-            g_out_in = g_out[inside]
-            dg_out_in = dg_out[inside]
-            g_out_in[at_node] = gs[idx[at_node]]
-            dg_out_in[at_node] = dgs[idx[at_node]]
-            g_out[inside] = g_out_in
-            dg_out[inside] = dg_out_in
-    if np.any(below):
-        g_out[below] = np.minimum(1.0, gs[0] + dgs[0] * (arr[below] - ys[0]))
-        dg_out[below] = dgs[0]
-    if np.any(above):
-        g_out[above] = np.maximum(0.0, gs[-1] + dgs[-1] * (arr[above] - ys[-1]))
-        dg_out[above] = dgs[-1]
+    dg_out[arr < ys[0]] = dgs[0]
+    dg_out[arr > ys[-1]] = dgs[-1]
+    idx = np.minimum(np.searchsorted(ys, arr), len(ys) - 1)
+    at_node = ys[idx] == arr
+    g_out[at_node] = gs[idx[at_node]]
+    dg_out[at_node] = dgs[idx[at_node]]
 
     if scalar:
         return float(g_out[0]), float(dg_out[0])
@@ -541,35 +554,19 @@ def eval_g(curve, y):
 
 
 def eval_g_value(curve, y):
-    """Interpolated curve value only, vectorized; the simulator's hot path.
+    """eval_g's value without the derivative, vectorized.
 
-    Matches eval_g's value output (same cubic, same clamped extrapolation)
-    while skipping derivative evaluation and per-call validation.  Returns
-    a float for scalar input, an array otherwise.
+    Returns a float for scalar input, an array otherwise.
     """
     scalar = np.ndim(y) == 0
     arr = np.atleast_1d(np.asarray(y, dtype=float))
-    ys, gs, dgs = curve.ys, curve.gs, curve.dgs
-    c0, c1, c2, c3 = curve._value_coeffs
-    idx = np.searchsorted(ys, arr, side="right") - 1
-    np.clip(idx, 0, len(ys) - 2, out=idx)
-    t = arr - ys[idx]
-    out = ((c0[idx] * t + c1[idx]) * t + c2[idx]) * t + c3[idx]
-    below = arr < ys[0]
-    above = arr > ys[-1]
-    if np.any(below):
-        out[below] = np.minimum(1.0, gs[0] + dgs[0] * (arr[below] - ys[0]))
-    if np.any(above):
-        out[above] = np.maximum(0.0, gs[-1] + dgs[-1] * (arr[above] - ys[-1]))
+    out = eval_g_z(curve, std_normal_quantile(arr), arr)
     return float(out[0]) if scalar else out
 
 
 def value_function(curve, params):
     """(1-x)^p / T^{p-1} * g(cdf(c / sqrt(T))) for a calibrated curve."""
-    if not isinstance(params, Params):
-        params = Params(*params)
-    if abs(params.p - curve.p) > 1e-12:
-        raise UsageError(f"curve calibrated for p={curve.p}, got p={params.p}")
+    params = curve.check_params(params)
     if params.x == 1.0:
         return 0.0
     level = std_normal_cdf(params.c / math.sqrt(params.T))

@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .normals import Params, std_normal_cdf
-from .ode import eval_g, eval_g_value
+from .normals import std_normal_cdf
+from .ode import eval_g_z
 
 BLOCK = 4096  # paths per stream block; fixed so layout never affects results
 
@@ -82,8 +82,9 @@ def _block_increments(seed, block, rows, n_steps, sqrt_dt):
     return out
 
 
-def _increments(seed, i0, i1, n_steps, sqrt_dt):
-    """Increments for the path index range [i0, i1), block layout preserved."""
+def _brownian(seed, i0, i1, n_steps, sqrt_dt):
+    """Increments dW and running values W (W[:, 0] = 0) of the paths with
+    index in [i0, i1), block layout preserved."""
     pieces = []
     b0, b1 = i0 // BLOCK, (i1 - 1) // BLOCK
     for b in range(b0, b1 + 1):
@@ -91,7 +92,10 @@ def _increments(seed, i0, i1, n_steps, sqrt_dt):
         hi = min(i1, (b + 1) * BLOCK) - b * BLOCK
         rows = _block_increments(seed, b, hi, n_steps, sqrt_dt)
         pieces.append(rows[lo:hi])
-    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    dW = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    W = np.zeros((i1 - i0, n_steps + 1))
+    np.cumsum(dW, axis=1, out=W[:, 1:])
+    return dW, W
 
 
 def nth_path(T, n_steps, seed, index):
@@ -103,11 +107,9 @@ def nth_path(T, n_steps, seed, index):
     if index < 0:
         raise DomainError("index must be >= 0")
     times = np.linspace(0.0, T, n_steps + 1)
-    dW = _increments(seed, index, index + 1, n_steps, math.sqrt(T / n_steps))[0]
-    W = np.empty(n_steps + 1)
-    W[0] = 0.0
-    np.cumsum(dW, out=W[1:])
-    return SimPath(n_steps=int(n_steps), times=times, dW=dW, W=W, seed=int(seed))
+    dW, W = _brownian(seed, index, index + 1, n_steps, math.sqrt(T / n_steps))
+    return SimPath(n_steps=int(n_steps), times=times, dW=dW[0], W=W[0],
+                   seed=int(seed))
 
 
 def simulate_brownian(T, n_steps, seed):
@@ -119,42 +121,14 @@ def simulate_brownian(T, n_steps, seed):
     return nth_path(T, n_steps, seed, 0)
 
 
-def _gain(curve, p, m, transform=None):
-    gval = eval_g_value(curve, m)
+def _gain(curve, p, zscore, transform=None):
+    """Feedback gain g(M)^{1/(p-1)} at the level M = cdf(zscore); the
+    transform, when given, maps (M, g) to the g actually used."""
+    gval = eval_g_z(curve, zscore)
     if transform is not None:
-        gval = transform(m, gval)
+        gval = transform(std_normal_cdf(zscore), gval)
     expo = 1.0 / (p - 1.0)
     return gval if expo == 1.0 else gval ** expo
-
-
-def _level_and_gain(curve, p, zscore, transform=None):
-    """Conditional level and feedback gain from the raw z-score.
-
-    Same cubic and clamping as eval_g_value; the interval index comes from
-    arithmetic on the z-score because the curve grid is uniform in the
-    quantile coordinate, which avoids a binary search per step.
-    """
-    grid = curve._uniform_z_grid
-    m = std_normal_cdf(zscore)
-    if grid is None:
-        return m, _gain(curve, p, m, transform)
-    z0, inv_dz = grid
-    ys, gs, dgs = curve.ys, curve.gs, curve.dgs
-    c0, c1, c2, c3 = curve._value_coeffs
-    idx = ((zscore - z0) * inv_dz).astype(np.intp)
-    np.clip(idx, 0, len(ys) - 2, out=idx)
-    t = m - ys[idx]
-    gval = ((c0[idx] * t + c1[idx]) * t + c2[idx]) * t + c3[idx]
-    below = m < ys[0]
-    above = m > ys[-1]
-    if np.any(below):
-        gval[below] = np.minimum(1.0, gs[0] + dgs[0] * (m[below] - ys[0]))
-    if np.any(above):
-        gval[above] = np.maximum(0.0, gs[-1] + dgs[-1] * (m[above] - ys[-1]))
-    if transform is not None:
-        gval = transform(m, gval)
-    expo = 1.0 / (p - 1.0)
-    return m, (gval if expo == 1.0 else gval ** expo)
 
 
 def _drive_block(curve, params, times, W, *, record=False, gain_transform=None,
@@ -179,10 +153,10 @@ def _drive_block(curve, params, times, W, *, record=False, gain_transform=None,
         t_k, t_next = times[k], times[k + 1]
         tau = T - t_k
         zscore = (c - W[:, k]) / math.sqrt(tau)
-        m, kappa = _level_and_gain(curve, p, zscore, gain_transform)
+        kappa = _gain(curve, p, zscore, gain_transform)
         u = kappa * omx / tau
         if record:
-            M_rec[:, k] = m
+            M_rec[:, k] = std_normal_cdf(zscore)
             u_rec[:, k] = u
             X_rec[:, k] = 1.0 - omx
             c_rec[:, k] = cost
@@ -217,10 +191,7 @@ def _drive_block(curve, params, times, W, *, record=False, gain_transform=None,
 
 def run_optimal_control(curve, params, path, *, gain_transform=None):
     """Fill a skeleton path with the feedback control, state and cost."""
-    if not isinstance(params, Params):
-        params = Params(*params)
-    if abs(params.p - curve.p) > 1e-12:
-        raise UsageError(f"curve calibrated for p={curve.p}, got p={params.p}")
+    params = curve.check_params(params)
     if abs(path.times[-1] - params.T) > 1e-12 * max(1.0, params.T):
         raise UsageError(
             f"path horizon {path.times[-1]} does not match params.T={params.T}")
@@ -245,8 +216,7 @@ def exponential_form_control(curve, params, path):
     log_decay = 0.0
     for k in range(n - 1):
         tau = T - times[k]
-        m = std_normal_cdf((c - W[k]) / math.sqrt(tau))
-        kappa = _gain(curve, p, np.atleast_1d(m))[0]
+        kappa = _gain(curve, p, np.atleast_1d((c - W[k]) / math.sqrt(tau)))[0]
         u[k] = (1.0 - x) * kappa / tau * math.exp(log_decay)
         log_decay += kappa * math.log((T - times[k + 1]) / tau)
     return u
@@ -275,20 +245,14 @@ def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
     order with exact summation.
     Also returns the feasibility violation count as third element.
     """
-    if not isinstance(params, Params):
-        params = Params(*params)
-    if abs(params.p - curve.p) > 1e-12:
-        raise UsageError(f"curve calibrated for p={curve.p}, got p={params.p}")
+    params = curve.check_params(params)
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     times = np.linspace(0.0, params.T, n_steps + 1)
     sqrt_dt = math.sqrt(params.T / n_steps)
 
     def worker(i0, i1):
-        dW = _increments(seed, i0, i1, n_steps, sqrt_dt)
-        W = np.empty((i1 - i0, n_steps + 1))
-        W[:, 0] = 0.0
-        np.cumsum(dW, axis=1, out=W[:, 1:])
+        _dW, W = _brownian(seed, i0, i1, n_steps, sqrt_dt)
         cost, _xt, violations, _ = _drive_block(
             curve, params, times, W, gain_transform=gain_transform,
             include_final_step=include_final_step)
@@ -311,15 +275,15 @@ def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
 def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed, *, threads=None):
     """Per-step Euler residuals of the explicit backward pair.
 
-    Y_t = g(M_t) / (T-t)^{p-1} and Z_t from the curve derivative and the
-    Gaussian factor; the residual on each step inside [0, T - delta] is
+    Y_t = g(M_t) / (T-t)^{p-1} and Z_t = -g_z / (T-t)^{p-1/2}, with g and
+    its z-derivative g_z taken at the z-score (c - W_t) / sqrt(T-t); the
+    residual on each step inside [0, T - delta] is
     r_k = dY_k - (p-1) Y_k^{p/(p-1)} dt - Z_k dW_k.  Reports the mean (with
     a per-path standard error), the root mean square, and the smallest Z.
     """
     if not (0.0 < delta < T / 2.0):
         raise DomainError("delta must lie in (0, T/2)")
-    if abs(p - curve.p) > 1e-12:
-        raise UsageError(f"curve calibrated for p={curve.p}, got p={p}")
+    curve.check_params((p, T, 0.0, c))
     times = np.linspace(0.0, T, n_steps + 1)
     sqrt_dt = math.sqrt(T / n_steps)
     dt = T / n_steps
@@ -328,22 +292,14 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed, *, threads=None
     if k_end < 1:
         raise DomainError("window [0, T - delta] contains no full step")
     expo = p / (p - 1.0)
-    z_norm = math.sqrt(2.0 * math.pi)
 
     def y_and_z(t, w_col):
         tau = T - t
-        m = std_normal_cdf((c - w_col) / math.sqrt(tau))
-        gval, dgval = eval_g(curve, m)
-        y = gval / tau ** (p - 1.0)
-        z = -dgval * np.exp(-((c - w_col) ** 2) / (2.0 * tau)) / (
-            z_norm * tau ** (p - 0.5))
-        return y, z
+        gval, gz = eval_g_z(curve, (c - w_col) / math.sqrt(tau), slope=True)
+        return gval / tau ** (p - 1.0), -gz / tau ** (p - 0.5)
 
     def worker(i0, i1):
-        dW = _increments(seed, i0, i1, n_steps, sqrt_dt)
-        W = np.empty((i1 - i0, n_steps + 1))
-        W[:, 0] = 0.0
-        np.cumsum(dW, axis=1, out=W[:, 1:])
+        dW, W = _brownian(seed, i0, i1, n_steps, sqrt_dt)
         path_sum = np.zeros(i1 - i0)
         sq_sum = 0.0
         z_min = math.inf
@@ -379,19 +335,14 @@ def terminal_blowup_medians(curve, p, T, c, n_paths, n_steps, deltas, seed):
     """
     times = np.linspace(0.0, T, n_steps + 1)
     sqrt_dt = math.sqrt(T / n_steps)
-    dW = _increments(seed, 0, n_paths, n_steps, sqrt_dt)
-    W = np.empty((n_paths, n_steps + 1))
-    W[:, 0] = 0.0
-    np.cumsum(dW, axis=1, out=W[:, 1:])
+    _dW, W = _brownian(seed, 0, n_paths, n_steps, sqrt_dt)
     bind = W[:, -1] > c
     out = {}
     for delta in deltas:
         k = int(np.searchsorted(times, T - delta + 1e-12))
         k = min(max(k, 1), n_steps - 1)
         tau = T - times[k]
-        m = std_normal_cdf((c - W[:, k]) / math.sqrt(tau))
-        gval, _ = eval_g(curve, m)
-        y = gval / tau ** (p - 1.0)
+        y = eval_g_z(curve, (c - W[:, k]) / math.sqrt(tau)) / tau ** (p - 1.0)
         out[float(delta)] = (float(np.median(y[bind])),
                             float(np.median(y[~bind])))
     return out

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import expcase
 from .normals import Params
-from .ode import (GCurve, chord_lower_bound, curve_invariant_report, eval_g,
-                  shoot)
+from .ode import (GCurve, chord_lower_bound, curve_invariant_report,
+                  eval_g_value, shoot)
 from .sim import bsde_residual, mc_cost_estimate
 from .walk import dp_g_profile, dp_value, refinement_gap
 
@@ -85,7 +85,7 @@ def suite_oracle_agreement(budget, results):
     tol = ORACLE_TOL if budget == "full" else 0.05
     levels = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     profile = dp_g_profile(n, 2.0, levels)
-    diffs = [abs(val - eval_g(res.curve, y)[0]) for y, val in profile]
+    diffs = [abs(val - eval_g_value(res.curve, y)) for y, val in profile]
     return max(diffs) <= tol, {"n": n, "max_diff": max(diffs), "tol": tol}
 
 

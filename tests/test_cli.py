@@ -202,6 +202,42 @@ class TestConfigPrecedence:
         proc = run_cli(["oracle", "--config", "cfg.ini"], cwd=tmp_path)
         assert proc.returncode == 2
 
+    def test_config_p_is_parsed_as_a_number(self, workdir, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("p = 2\nT = 4\n")
+        proc = run_cli(["value", "--config", str(cfg)], cwd=workdir)
+        assert proc.returncode == 0, proc.stderr
+        assert abs(json.loads(proc.stdout)["value"] - 0.22) <= 0.005
+        cfg.write_text("p = 3\n")
+        proc = run_cli(["value", "--config", str(cfg)], cwd=workdir)
+        assert proc.returncode == 2
+        assert "--p" in proc.stderr
+
+    def test_config_seed_is_parsed_as_an_integer(self, workdir, tmp_path):
+        args = ["simulate", "--n-paths", "64", "--n-steps", "50"]
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("seed = 7\n")
+        via_file = run_cli(args + ["--config", str(cfg)], cwd=workdir)
+        via_flag = run_cli(args + ["--seed", "7"], cwd=workdir)
+        assert via_file.returncode == 0, via_file.stderr
+        assert json.loads(via_file.stdout) == json.loads(via_flag.stdout)
+        cfg.write_text("seed = 7.5\n")
+        proc = run_cli(args + ["--config", str(cfg)], cwd=workdir)
+        assert proc.returncode == 2
+        assert "--seed" in proc.stderr
+
+    def test_config_choices_are_checked(self, tmp_path):
+        (tmp_path / "cfg.ini").write_text("budget = bogus\n")
+        proc = run_cli(["verify", "--config", "cfg.ini"], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "--budget" in proc.stderr
+
+    def test_unknown_config_key_is_rejected(self, tmp_path):
+        (tmp_path / "cfg.ini").write_text("nn = 100\n")
+        proc = run_cli(["oracle", "--config", "cfg.ini"], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "--nn" in proc.stderr
+
 
 class TestVerifyCommand:
     def test_quick_budget_passes_and_writes_report(self, tmp_path):

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targetcost.errors import DomainError, RangeError, UsageError
-from targetcost.normals import Params, std_normal_cdf
-from targetcost.ode import (GCurve, chord_lower_bound, curve_invariant_report,
-                            eval_g, eval_g_value, integrate_g, load_curve,
+from targetcost.normals import Params, std_normal_cdf, std_normal_quantile
+from targetcost.ode import (DEFAULT_EPSILON, GRID_DZ, GCurve,
+                            chord_lower_bound, curve_invariant_report, eval_g,
+                            eval_g_value, integrate_g, load_curve,
                             ode_residuals, save_curve, shoot, value_function)
 from targetcost.walk import dp_value
 
@@ -179,6 +180,28 @@ class TestEvalG:
         assert np.all(np.diff(gs) <= 1e-12)
         assert np.all(dgs <= 0.0)
         assert np.all((gs >= 0.0) & (gs <= 1.0))
+
+    def test_analytic_kernel_off_nodes(self):
+        # g = (1 - y)^2 stored on the standard grid uniform in z; between
+        # nodes the value and the derivative must follow the exact kernel.
+        z_edge = -std_normal_quantile(DEFAULT_EPSILON)
+        n_half = round(z_edge / GRID_DZ)
+        zs = z_edge / n_half * np.arange(-n_half, n_half + 1)
+        ys = std_normal_cdf(zs)
+        curve = GCurve(p=2.0, ys=ys, gs=(1.0 - ys) ** 2, dgs=-2.0 * (1.0 - ys),
+                       epsilon=DEFAULT_EPSILON)
+        levels = std_normal_cdf(np.linspace(zs[0], zs[-1], 7919)[1:-1])
+        g, dg = eval_g(curve, levels)
+        assert np.max(np.abs(g - (1.0 - levels) ** 2)) <= 1e-12
+        exact = -2.0 * (1.0 - levels)
+        assert np.max(np.abs(dg / exact - 1.0)) <= 1e-8
+
+    def test_grid_not_uniform_in_z_is_rejected(self):
+        ys = np.linspace(0.2, 0.8, 101)
+        curve = GCurve(p=2.0, ys=ys, gs=(1.0 - ys) ** 2, dgs=-2.0 * (1.0 - ys),
+                       epsilon=1e-4)
+        with pytest.raises(UsageError):
+            eval_g(curve, 0.5)
 
     def test_value_only_path_matches(self, curve_p2):
         ys = np.linspace(1e-5, 1.0 - 1e-5, 5000)
