@@ -21,8 +21,8 @@ import sys
 
 import numpy as np
 
-from .errors import (CalibrationError, DivergenceError, DomainError,
-                     RangeError, ResourceError, TargetCostError, UsageError)
+from .errors import (CalibrationError, DivergenceError, RangeError,
+                     ResourceError, TargetCostError, UsageError)
 from .normals import Params, std_normal_cdf
 from .ode import eval_g, load_curve, save_curve, shoot, value_function
 from .sim import (bsde_residual, dump_path_csv, mc_cost_estimate, nth_path,
@@ -48,8 +48,9 @@ def _jsonable(obj):
     return obj
 
 
-def _config_flags(path):
-    """The config file's `key = value` lines as `--key=value` tokens."""
+def _config_flags(path, command, options):
+    """The config file's `key = value` lines as `--key=value` tokens.  Keys
+    must name an option exactly: argparse would take `pro` for `--profile`."""
     flags = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -59,7 +60,12 @@ def _config_flags(path):
             if "=" not in stripped:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
-            flags.append(f"--{key.strip().replace('_', '-')}={raw.strip()}")
+            key = key.strip()
+            flag = f"--{key.replace('_', '-')}"
+            if flag not in options:
+                raise UsageError(
+                    f"{path}:{lineno}: unknown {command} config key {key!r} ({flag})")
+            flags.append(f"{flag}={raw.strip()}")
     return flags
 
 
@@ -232,7 +238,7 @@ def build_parser():
 
     def add(cmd, fn, flags):
         sp = sub.add_parser(cmd)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, options=frozenset(name for name, _ in flags))
         sp.add_argument("--config", default=None,
                         help="flat key = value config file")
         for name, kwargs in flags:
@@ -335,8 +341,8 @@ def main(argv=None):
         if args.config:
             # The command comes first (there are no global flags); the
             # file's flags go right after it, so the user's own flags win.
-            args = parser.parse_args(argv[:1] + _config_flags(args.config)
-                                     + argv[1:])
+            file_flags = _config_flags(args.config, args.command, args.options)
+            args = parser.parse_args(argv[:1] + file_flags + argv[1:])
         if "seed" in vars(args) and args.seed is None:
             args.seed = _default_seed()
         if getattr(args, "threads", None) == 0:
@@ -346,21 +352,13 @@ def main(argv=None):
                 setattr(args, key, None)
         _validate(args)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (CalibrationError, DivergenceError, RangeError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CalibrationError) and exc.diagnostics:
             print(f"diagnostics: {exc.diagnostics}", file=sys.stderr)
         return EXIT_CALIBRATION
-    except TargetCostError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (TargetCostError, OSError) as exc:
+        # usage and domain errors, and unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -235,9 +235,15 @@ class GCurve:
         # (z0, 1/dz, one row of Horner coefficients per grid cell) of the
         # cubic Hermite interpolant in z.  Built from (ys, gs, dgs) alone, so a
         # curve reloaded from CSV evaluates bit-identically to the original.
+        # A level near 1 is held to ulp(1), moving its z by about ulp(1)/pdf(z)
+        # (1e-11 at y = 1 - 1e-6); so the step is read on the lower half,
+        # where levels keep their relative precision, and a node may sit
+        # that far off the grid.
         zs = std_normal_quantile(self.ys)
-        dz = (zs[-1] - zs[0]) / (len(zs) - 1)
-        if np.max(np.abs(np.diff(zs) - dz)) > 1e-9 * abs(dz):
+        mid = max(1, int(np.argmin(np.abs(zs))))
+        dz = (zs[mid] - zs[0]) / mid
+        slack = 1e-9 * abs(dz) + 4.0 * np.finfo(float).eps / std_normal_pdf(zs)
+        if np.any(np.abs(zs - zs[0] - dz * np.arange(len(zs))) > slack):
             raise UsageError("kernel evaluation needs the uniform quantile grid")
         slope = self.dgs * std_normal_pdf(zs) * dz  # g_z per cell width
         rise = np.diff(self.gs)

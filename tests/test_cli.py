@@ -32,6 +32,20 @@ class TestCalibrate:
         assert proc.returncode == 2
         assert "--epsilon" in proc.stderr
 
+    def test_small_epsilon_curve_evaluates(self, tmp_path):
+        # Near y = 1 - 1e-6 the stored levels move the quantile grid by
+        # about 1e-11 in z; the reloaded curve must still evaluate.
+        proc = run_cli(["calibrate", "--p", "2", "--epsilon", "1e-6",
+                        "--out", "c6"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli(["value", "--T", "1", "--x", "0", "--c", "0",
+                        "--curve", "c6.csv"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert abs(json.loads(proc.stdout)["value"] - 0.88) <= 0.02
+        proc = run_cli(["simulate", "--curve", "c6.csv", "--n-paths", "64",
+                        "--n-steps", "50"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
     def test_non_numeric_input_names_flag(self, tmp_path):
         proc = run_cli(["calibrate", "--p", "abc"], cwd=tmp_path)
         assert proc.returncode == 2
@@ -232,11 +246,13 @@ class TestConfigPrecedence:
         assert proc.returncode == 2
         assert "--budget" in proc.stderr
 
-    def test_unknown_config_key_is_rejected(self, tmp_path):
-        (tmp_path / "cfg.ini").write_text("nn = 100\n")
+    @pytest.mark.parametrize("key, value", [("nn", "100"), ("pro", "0.2:0.8:3")])
+    def test_unknown_config_key_is_rejected(self, tmp_path, key, value):
+        # "pro" is a prefix of --profile, which the command line would accept.
+        (tmp_path / "cfg.ini").write_text(f"{key} = {value}\n")
         proc = run_cli(["oracle", "--config", "cfg.ini"], cwd=tmp_path)
         assert proc.returncode == 2
-        assert "--nn" in proc.stderr
+        assert f"--{key}" in proc.stderr
 
 
 class TestVerifyCommand:

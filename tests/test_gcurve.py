@@ -259,6 +259,23 @@ class TestSerialization:
         ys = np.linspace(0.01, 0.99, 101)
         assert np.array_equal(eval_g(loaded, ys)[0], eval_g(shot_p2.curve, ys)[0])
 
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-8])
+    def test_small_epsilon_round_trip_evaluates(self, epsilon, tmp_path):
+        # Levels near 1 are stored only to ulp(1), which moves the reloaded
+        # grid off uniform by up to about 2e-9 in z at epsilon = 1e-8.
+        z_edge = -std_normal_quantile(epsilon)
+        n_half = round(z_edge / GRID_DZ)
+        ys = std_normal_cdf(z_edge / n_half * np.arange(-n_half, n_half + 1))
+        curve = GCurve(p=2.0, ys=ys, gs=(1.0 - ys) ** 2, dgs=-2.0 * (1.0 - ys),
+                       epsilon=epsilon)
+        save_curve(curve, tmp_path / "c.csv", tmp_path / "c.json")
+        loaded, _ = load_curve(tmp_path / "c.csv", tmp_path / "c.json")
+        levels = np.linspace(epsilon, 1.0 - epsilon, 2001)
+        g, dg = eval_g(loaded, levels)
+        assert np.array_equal(g, eval_g(curve, levels)[0])
+        assert np.max(np.abs(g - (1.0 - levels) ** 2)) <= 1e-12
+        assert np.max(np.abs(dg / (-2.0 * (1.0 - levels)) - 1.0)) <= 1e-8
+
     def test_sidecar_is_plain_json(self, shot_p2, tmp_path):
         save_curve(shot_p2.curve, tmp_path / "c.csv", tmp_path / "c.json")
         data = json.loads((tmp_path / "c.json").read_text())
