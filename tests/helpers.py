@@ -2,7 +2,8 @@
 
 The oracles stay deliberately separate from the package implementations:
 the normal cdf oracle integrates the density with composite Gauss-Legendre
-panels, and the scalar minimization oracle scans a dense grid.
+panels, the scalar minimization oracle scans a dense grid, and the lattice
+reference sweeps every node of the triangle with the split a* = rho/(1+rho).
 """
 
 import math
@@ -47,6 +48,32 @@ def scan_min_split(kappa1, kappa2, p, n_grid=1_000_001):
     costs = a ** p * kappa1 + (1.0 - a) ** p * kappa2
     i = int(np.argmin(costs))
     return float(a[i]), float(costs[i])
+
+
+def _reference_bellman_sweep(psi_next, kappa1, p):
+    """One backward level: expectation over the two children, then the
+    closed-form inner minimization, vectorized over nodes."""
+    expect = 0.5 * (psi_next[:-1] + psi_next[1:])
+    finite = np.isfinite(expect)
+    safe = np.where(finite, expect, 1.0)
+    rho = (safe / kappa1) ** (1.0 / (p - 1.0))
+    a = rho / (1.0 + rho)
+    cost = a ** p * kappa1 + (1.0 - a) ** p * safe
+    return np.where(finite, cost, kappa1)
+
+
+def reference_dp_value(n, T, c, p, tie="geq"):
+    """dp_value by the full-width sweep: every node of every level, with
+    the cost a^p kappa1 + (1-a)^p E at the optimal split and infinity for
+    a binding terminal node."""
+    dt = T / n
+    kappa1 = dt ** (1.0 - p)
+    w_end = (2.0 * np.arange(n + 1) - n) * math.sqrt(dt)
+    binding = w_end >= c if tie == "geq" else w_end > c
+    psi = np.where(binding, np.inf, 0.0)
+    for _ in range(n):
+        psi = _reference_bellman_sweep(psi, kappa1, p)
+    return float(psi[0])
 
 
 def run_cli(args, cwd, env_extra=None):

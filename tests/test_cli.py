@@ -119,6 +119,18 @@ class TestOracle:
             worst = max(worst, abs(val - eval_g(curve, y)[0]))
         assert worst <= 0.02
 
+    def test_non_finite_threshold_is_usage_error(self, tmp_path):
+        proc = run_cli(["oracle", "--n", "100", "--c", "nan"], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "c must be a finite number" in proc.stderr
+
+    @pytest.mark.parametrize("p", ["1.5", "2", "3"])
+    def test_no_numeric_warnings(self, tmp_path, p):
+        proc = run_cli(["oracle", "--n", "2000", "--p", p], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
     def test_bad_profile_spec(self, tmp_path):
         proc = run_cli(["oracle", "--profile", "0.5:0.1:3"], cwd=tmp_path)
         assert proc.returncode == 2

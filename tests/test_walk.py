@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targetcost.errors import DomainError, ResourceError
-from targetcost.normals import std_normal_quantile
+from targetcost.normals import std_normal_cdf, std_normal_quantile
 from targetcost.walk import (INFEASIBLE, dp_g_profile, dp_table, dp_value,
                              inner_min, refinement_gap, save_profile)
 
-from helpers import scan_min_split
+from helpers import reference_dp_value, scan_min_split
 
 
 class TestInnerMin:
@@ -111,6 +111,17 @@ class TestDpValue:
         with pytest.raises(ResourceError):
             dp_value(10 ** 6, 1.0, 0.0, 2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["T", "c", "p"])
+    def test_non_finite_argument_is_rejected(self, name, bad):
+        args = dict(n=100, T=1.0, c=0.0, p=2.0)
+        args[name] = bad
+        message = f"{name} must be a finite number"
+        with pytest.raises(DomainError, match=message):
+            dp_value(**args)
+        with pytest.raises(DomainError, match=message):
+            dp_table(**args)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             dp_value(1, 1.0, 0.0, 2.0)
@@ -120,6 +131,35 @@ class TestDpValue:
             dp_value(100, 1.0, 0.0, 0.9)
         with pytest.raises(DomainError):
             dp_value(100, 1.0, 0.0, 2.0, tie="nearest")
+
+
+class TestBand:
+    """The live band against the full-width sweep of every node."""
+
+    @pytest.mark.parametrize("T", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("n", [2, 3, 101, 1000, 2001])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+    def test_matches_full_width_reference(self, p, n, T):
+        for c in (-10.0 * math.sqrt(T), -1.0, 0.0, 0.3, 10.0 * math.sqrt(T)):
+            for tie in ("geq", "gt"):
+                value = dp_value(n, T, c, p, tie=tie)
+                ref = reference_dp_value(n, T, c, p, tie=tie)
+                assert abs(value - ref) <= max(1e-13 * ref, 1e-300), \
+                    (c, tie, value, ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 101])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_free_limit_is_zero(self, p, n):
+        # no terminal node can reach the threshold: nothing is ever live
+        assert dp_value(n, 1.0, 10.0 * math.sqrt(n), p) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 101])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_certain_limit_is_constant_speed_cost(self, p, n):
+        # every terminal node binds: the root is the certain cost itself
+        for T in (0.25, 1.0, 4.0):
+            value = dp_value(n, T, -10.0 * math.sqrt(n * T), p)
+            assert value == (n * (T / n)) ** (1.0 - p)
 
 
 class TestOracleTable:
@@ -164,6 +204,30 @@ class TestProfile:
         (_, val), = dp_g_profile(500, 2.0, [0.3])
         c = float(std_normal_quantile(0.3))
         assert val == dp_value(500, 1.0, c, 2.0)
+
+    @pytest.mark.parametrize("levels", [
+        [0.7, 0.2, 0.9, 0.4],                 # unsorted
+        [0.3, 0.6, 0.3, 0.6, 0.6],            # duplicates
+        [0.001, 0.999],                       # extremes
+        [0.55],                               # a single level
+    ])
+    @pytest.mark.parametrize("tie", ["geq", "gt"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_every_level_equals_its_dp_value(self, p, tie, levels):
+        profile = dp_g_profile(300, p, levels, tie=tie)
+        assert [y for y, _ in profile] == levels
+        for y, val in profile:
+            c = float(std_normal_quantile(y))
+            assert val == dp_value(300, 1.0, c, p, tie=tie), y
+
+    def test_levels_sharing_a_threshold_index(self):
+        # at n = 100 the terminal walk values are multiples of 0.2, so both
+        # thresholds bind first at w = 0.2
+        levels = [float(std_normal_cdf(0.05)), float(std_normal_cdf(0.15))]
+        (_, v1), (_, v2) = dp_g_profile(100, 2.0, levels)
+        assert v1 == v2
+        for y, val in zip(levels, (v1, v2)):
+            assert val == dp_value(100, 1.0, float(std_normal_quantile(y)), 2.0)
 
     def test_rejects_bad_levels(self):
         with pytest.raises(DomainError):
