@@ -1,10 +1,10 @@
 """Numerical toolkit for Brownian terminal-target cost minimization.
 
-Calibrates the value-function kernel by shooting on a semi-linear ODE,
-cross-checks it against a random-walk dynamic program, simulates the
-optimal feedback control along Brownian paths with a pathwise backward
-identity check, and evaluates the closed-form exponential-cost case with
-its duality witnesses.
+Calibrates the value-function kernel by a Newton finite-difference solve
+of a semi-linear ODE, cross-checks it against a random-walk dynamic
+program, simulates the optimal feedback control along Brownian paths with
+a pathwise backward identity check, and evaluates the closed-form
+exponential-cost case with its duality witnesses.
 """
 
 from .errors import (CalibrationError, DivergenceError, DomainError,

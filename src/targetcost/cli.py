@@ -113,9 +113,6 @@ def cmd_calibrate(args):
     print(f"left_residual = {result.left_residual:.3e}")
     print(f"right_residual = {result.right_residual:.3e}")
     print(f"curve: {out}.csv  sidecar: {out}.json")
-    if result.ambiguous:
-        print("warning: multiple admissible midpoint brackets; reporting the "
-              f"first of {list(result.candidate_brackets)}", file=sys.stderr)
     return EXIT_OK
 
 

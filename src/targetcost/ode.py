@@ -8,20 +8,22 @@ h(y) = pdf(z)^2 / 2, the equation becomes
 
     g_zz = -z g_z - 2 (p - 1) (g - g^{p/(p-1)})
 
-which is smooth on the whole line.  Integration runs in z with an adaptive
-embedded Runge-Kutta pair (Dormand-Prince 4(5), absolute tolerance 1e-10,
-relative 1e-9) outward from z = 0 (y = 1/2) to the cutoff quantiles of
-epsilon and 1 - epsilon, where the boundary conditions are enforced.
+which is smooth on the whole line.  shoot solves it on [-z_edge, z_edge],
+the cutoff quantiles of epsilon and 1 - epsilon, with g = 1 and g = 0 held
+there: Newton's method on the central-difference equations, one
+tridiagonal solve per step, on the stored grid and on the grid of half its
+step, combined by Richardson extrapolation.  The midpoint value g(1/2) and
+slope gamma = dg/dy(1/2) are read off the result.
 
-Two unknowns fix the solution: the midpoint value g(1/2) and the midpoint
-slope.  The shooter nests a bisection on the slope (matching the right
-boundary, where the value must vanish) inside a bisection on g(1/2)
-(matching the left boundary, where the value must reach 1).
+integrate_g is the independent initial-value route: from a midpoint pair it
+integrates outward with an adaptive embedded Runge-Kutta pair
+(Dormand-Prince 4(5), absolute tolerance 1e-10, relative 1e-9) onto the
+same grid.
 
 Curves store (y, g, dg/dy) on a grid uniform in z and serialize to CSV plus
 a JSON sidecar.  Every kernel lookup goes through one evaluator, eval_g_z:
-the cubic Hermite interpolant in z through the stored values and the exact
-slopes g_z = dg/dy * pdf(z) that the integration produces.
+the cubic Hermite interpolant in z through the stored values and slopes
+g_z = dg/dy * pdf(z).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import CalibrationError, DivergenceError, DomainError, RangeError, UsageError
 from .normals import (
@@ -59,7 +62,7 @@ DEFAULT_RTOL = 1e-9
 # stored values stay within the discrete concavity tolerance.
 GRID_DZ = 1.25e-3
 
-_MAX_BISECT = 60
+_MAX_NEWTON = 50
 
 # Dormand-Prince 4(5) tableau.
 _A21 = 1 / 5
@@ -73,7 +76,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (_B1 - 5179 / 57600, _B3 - 7571 / 16695, _B4 - 39
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 
 # Outcomes of one integration sweep.
-_OK, _LOW, _HIGH, _PEAK, _DIVERGED = "ok", "low", "high", "peak", "diverged"
+_OK, _LOW, _HIGH, _DIVERGED = "ok", "low", "high", "diverged"
 
 
 def chord_lower_bound(y, z, p):
@@ -89,24 +92,16 @@ def chord_lower_bound(y, z, p):
     return z ** p / y ** (p - 1) + (1.0 - z) ** p / (1.0 - y) ** (p - 1)
 
 
-def _power_term(g, expo):
-    # Sign-safe power: tiny negative excursions from roundoff must not
-    # produce complex values; real excursions still trip the range check.
-    return (g if g > 0.0 else 0.0) ** expo
+def _propagate(p, z_end, g0, q0, atol, rtol, targets):
+    """Integrate (g, g_z) from z = 0 to z_end, recording at targets.
 
+    Returns (status, z_stop, recorded) where recorded is a list of (g, q)
+    aligned with targets.  Statuses: 'ok', 'low' / 'high' when g leaves the
+    [RANGE_LO, RANGE_HI] band, or 'diverged' on numerical blow-up; z_stop
+    is where integration stopped.
 
-def _propagate(p, z_end, g0, q0, atol, rtol, targets=None,
-               lo=RANGE_LO, hi=RANGE_HI, peak_stop=False):
-    """Integrate (g, g_z) from z = 0 to z_end; optionally record at targets.
-
-    Returns (status, z_stop, g, q, recorded) where recorded is a list of
-    (g, q) aligned with targets when recording.  Statuses: 'ok', or 'low' /
-    'high' when g leaves the [lo, hi] band, 'peak' when peak_stop is set and
-    the slope turns positive (the solution stopped being monotone), or
-    'diverged' on numerical blow-up; z_stop is where integration stopped.
-
-    The Runge-Kutta stages are written out inline: this loop sits at the
-    bottom of the nested shooting bisection and dominates calibration time.
+    The Runge-Kutta stages are written out inline, since a pure-Python
+    step loop is dominated by call overhead.
     """
     expo = p / (p - 1.0)
     two_pm1 = 2.0 * (p - 1.0)
@@ -120,7 +115,7 @@ def _propagate(p, z_end, g0, q0, atol, rtol, targets=None,
     e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
 
-    recorded = [] if targets is not None else None
+    recorded = []
     next_target = 0
 
     z, g, q = 0.0, g0, q0
@@ -130,10 +125,8 @@ def _propagate(p, z_end, g0, q0, atol, rtol, targets=None,
     steps = 0
     while True:
         if direction * (z_end - z) <= 1e-14:
-            return _OK, z, g, q, recorded
-        limit = z_end
-        if recorded is not None and next_target < len(targets):
-            limit = targets[next_target]
+            return _OK, z, recorded
+        limit = targets[next_target] if next_target < len(targets) else z_end
         if direction * (z + hstep - limit) > 0.0:
             hstep = limit - z
 
@@ -179,22 +172,20 @@ def _propagate(p, z_end, g0, q0, atol, rtol, targets=None,
         err = math.sqrt(0.5 * ((err_g / sg) ** 2 + (err_q / sq) ** 2))
 
         if not math.isfinite(err):
-            return _DIVERGED, z, g, q, recorded
+            return _DIVERGED, z, recorded
         if err <= 1.0:
             z += hstep
             g, q, k1g, k1q = g_new, q_new, k7g, k7q
             if not (math.isfinite(g) and math.isfinite(q)):
-                return _DIVERGED, z, g, q, recorded
-            if g < lo:
-                return _LOW, z, g, q, recorded
-            if g > hi:
-                return _HIGH, z, g, q, recorded
-            if peak_stop and q > 0.0:
-                return _PEAK, z, g, q, recorded
+                return _DIVERGED, z, recorded
+            if g < RANGE_LO:
+                return _LOW, z, recorded
+            if g > RANGE_HI:
+                return _HIGH, z, recorded
             if abs(g) > DIVERGE_G or \
                     abs(q) > DIVERGE_DGDY * exp_(-0.5 * z * z) * _INV_SQRT_2PI:
-                return _DIVERGED, z, g, q, recorded
-            if recorded is not None and next_target < len(targets) and \
+                return _DIVERGED, z, recorded
+            if next_target < len(targets) and \
                     direction * (z - targets[next_target]) >= -1e-13:
                 recorded.append((g, q))
                 next_target += 1
@@ -204,7 +195,7 @@ def _propagate(p, z_end, g0, q0, atol, rtol, targets=None,
         hstep *= factor
         steps += 1
         if steps > 500_000:
-            return _DIVERGED, z, g, q, recorded
+            return _DIVERGED, z, recorded
 
 
 @dataclass(frozen=True)
@@ -278,8 +269,6 @@ class ShootingResult:
     curve: GCurve
     left_residual: float
     right_residual: float
-    ambiguous: bool = False
-    candidate_brackets: tuple = ()
 
 
 def _validate_inputs(p, g_mid, gamma, epsilon):
@@ -311,7 +300,7 @@ def integrate_g(p, g_mid, gamma, epsilon=DEFAULT_EPSILON, *,
     branches = {}
     for branch, sign in (("left", -1.0), ("right", 1.0)):
         targets = [sign * dz * k for k in range(1, n_half + 1)]
-        status, z_stop, *_rest, recorded = _propagate(
+        status, z_stop, recorded = _propagate(
             p, sign * z_edge, g_mid, q0, atol, rtol, targets=targets)
         if status in (_LOW, _HIGH):
             raise RangeError(
@@ -340,165 +329,104 @@ def integrate_g(p, g_mid, gamma, epsilon=DEFAULT_EPSILON, *,
                   zs=zs, gzs=qs)
 
 
-def _snapped(curve):
-    """Clamp sub-tolerance monotonicity wiggles so downstream sign contracts
-    (derivative <= 0 everywhere, hence Z >= 0) hold exactly."""
-    gs = np.minimum.accumulate(curve.gs)
-    if np.max(curve.gs - gs) > 1e-9:
-        raise CalibrationError("curve is not monotone within solver tolerance")
-    dgs = np.minimum(curve.dgs, 0.0)
-    if np.max(curve.dgs - dgs) > 1e-9:
-        raise CalibrationError("curve derivative is not <= 0 within solver tolerance")
-    return GCurve(p=curve.p, ys=curve.ys, gs=gs, dgs=dgs, epsilon=curve.epsilon,
-                  zs=curve.zs, gzs=np.minimum(curve.gzs, 0.0))
+def _newton(p, zs, g):
+    """Solve the central-difference equations of
+    g_zz + z g_z + 2 (p - 1) (g - g^{p/(p-1)}) = 0 on the uniform nodes zs
+    by Newton's method, holding the end values of the start g fixed.
+
+    Each step is one tridiagonal solve; iteration stops once no node moves
+    by more than 1e-10.  Raises CalibrationError when that does not happen
+    within _MAX_NEWTON steps.
+    """
+    expo = p / (p - 1.0)
+    two_pm1 = 2.0 * (p - 1.0)
+    h = zs[1] - zs[0]
+    zi = zs[1:-1]
+    band = np.zeros((3, len(zi)))
+    band[0, 1:] = 1.0 / h ** 2 + zi[:-1] / (2.0 * h)   # superdiagonal
+    band[2, :-1] = 1.0 / h ** 2 - zi[1:] / (2.0 * h)   # subdiagonal
+    g = np.array(g, dtype=float)
+    for _ in range(_MAX_NEWTON):
+        gi = g[1:-1]
+        pos = np.maximum(gi, 0.0)
+        resid = ((g[2:] - 2.0 * gi + g[:-2]) / h ** 2
+                 + zi * (g[2:] - g[:-2]) / (2.0 * h)
+                 + two_pm1 * (gi - pos ** expo))
+        band[1] = -2.0 / h ** 2 + two_pm1 * (1.0 - expo * pos ** (expo - 1.0))
+        step = solve_banded((1, 1), band, resid)
+        g[1:-1] -= step
+        if not np.all(np.isfinite(g)):
+            break
+        if np.max(np.abs(step)) <= 1e-10:
+            return g
+    raise CalibrationError("Newton iteration did not converge",
+                           diagnostics={"p": p, "nodes": len(zs)})
 
 
-def shoot(p, epsilon=DEFAULT_EPSILON, boundary_tol=DEFAULT_BOUNDARY_TOL, *,
-          atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL):
-    """Calibrate (g_mid, gamma) so both boundary residuals meet boundary_tol.
+def _slope(gs, h):
+    """g_z by fourth-order differences: central inside, one-sided five-point
+    at the two nodes nearest each end."""
+    gz = np.empty_like(gs)
+    gz[2:-2] = gs[:-4] - 8.0 * gs[1:-3] + 8.0 * gs[3:-1] - gs[4:]
+    for k, row in enumerate(((-25.0, 48.0, -36.0, 16.0, -3.0),
+                             (-3.0, -10.0, 18.0, -6.0, 1.0))):
+        gz[k] = np.dot(row, gs[:5])
+        gz[-1 - k] = -np.dot(row, gs[:-6:-1])
+    return gz / (12.0 * h)
 
-    Nested bisection.  The inner loop adjusts the midpoint slope to match
-    the right boundary: slopes whose trajectory crosses zero before the
-    cutoff are too steep, trajectories that stay above the residual target
-    are too shallow, and the admissible window in between is the decaying
-    branch.  The outer loop adjusts the midpoint value to match the left
-    boundary: trajectories that cross above 1 mean the midpoint is too
-    high, trajectories whose slope flips sign (an interior maximum, so the
-    curve falls away from 1 again) mean it is too low.  These structural
-    classifiers keep the bisections on the monotone solution; plain
-    endpoint-value matching admits spurious non-monotone shots.
 
-    The outer bracket is ((1/2)^p, 1), from the pointwise lower bound
-    (1 - y)^p; the slope bracket is [-10, 0].  Raises CalibrationError with
-    diagnostics when no bracket exists or the residuals cannot be met.
+def _snapped(p, epsilon, zs, gs):
+    """The curve through values gs on the nodes zs, with rounding clipped so
+    downstream sign contracts (0 <= g <= 1, g_z <= 0, hence Z >= 0) hold
+    exactly.  A larger excursion means a spurious, non-monotone solution."""
+    gzs = _slope(gs, zs[1] - zs[0])
+    snapped_gs = np.minimum.accumulate(np.clip(gs, 0.0, 1.0))
+    snapped_gzs = np.minimum(gzs, 0.0)
+    worst = max(np.max(np.abs(gs - snapped_gs)), np.max(gzs - snapped_gzs))
+    if worst > 1e-9:
+        raise CalibrationError(
+            "solution is not monotone within [0, 1] beyond rounding",
+            diagnostics={"p": p, "worst_excursion": float(worst)})
+    return GCurve(p=float(p), ys=std_normal_cdf(zs), gs=snapped_gs,
+                  dgs=snapped_gzs / std_normal_pdf(zs), epsilon=float(epsilon),
+                  zs=zs, gzs=snapped_gzs)
+
+
+def shoot(p, epsilon=DEFAULT_EPSILON, boundary_tol=DEFAULT_BOUNDARY_TOL):
+    """Calibrate the kernel with g = 1 at y = epsilon and g = 0 at
+    y = 1 - epsilon, and return it with its midpoint value and slope.
+
+    Newton's method on the central-difference equations in z (see _newton),
+    started from the chord between the two end values, solves on the
+    stored grid and again on the grid of half its step, started from the
+    first solution; the stored values are the Richardson combination
+    (4 fine - coarse) / 3 and the stored slopes their fourth-order
+    differences.  gamma is dg/dy at y = 1/2.  Raises CalibrationError when
+    Newton does not converge, when the solution is not monotone within
+    [0, 1], or when the boundary residuals exceed boundary_tol.
     """
     _validate_inputs(p, None, None, epsilon)
     if not (0.0 < boundary_tol < 0.5):
         raise DomainError("boundary_tol must lie in (0, 0.5)")
     z_edge = -std_normal_quantile(epsilon)
-    # The curve can meet the cutoff boundaries only to within its own tail
-    # values there; accept windows are a decade below the residual budget.
-    inner_tol = min(1e-6, 0.1 * boundary_tol)
-    outer_tol = 0.1 * boundary_tol
-    gamma_lo, gamma_hi = -10.0, 0.0
-
-    def classify_right(g_mid, gamma):
-        """-1: crossed zero (too steep); +1: above target at the cutoff
-        (too shallow); 0: accept.  Second element is the cutoff value."""
-        status, _z, g_end, q_end, _ = _propagate(
-            p, z_edge, g_mid, gamma * _INV_SQRT_2PI, atol, rtol, lo=0.0)
-        if status == _LOW:
-            return -1, None
-        if status == _HIGH:
-            return 1, None
-        if status == _DIVERGED:
-            return (-1 if q_end < 0 else 1), None
-        return (0 if g_end <= inner_tol else 1), g_end
-
-    def solve_gamma(g_mid):
-        """Returns (gamma, right_value) or (None, +-1) when the whole slope
-        bracket classifies to one side."""
-        c_hi, v_hi = classify_right(g_mid, gamma_hi)
-        if c_hi == 0:
-            return gamma_hi, v_hi
-        if c_hi < 0:
-            return None, -1  # flat start already crosses: midpoint too low
-        c_lo, _ = classify_right(g_mid, gamma_lo)
-        if c_lo > 0:
-            return None, 1  # steepest slope still above target: midpoint too high
-        lo, hi = gamma_lo, gamma_hi
-        for _ in range(_MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            cls, val = classify_right(g_mid, mid)
-            if cls == 0:
-                return mid, val
-            if cls < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13:
-                break
-        # Window not hit: fall back to the non-crossing endpoint.
-        cls, val = classify_right(g_mid, hi)
-        return hi, (val if val is not None else 1.0)
-
-    def classify_left(g_mid):
-        """-1: midpoint too low; +1: too high; 0: accept.
-        Returns (class, gamma, left_value)."""
-        gamma, right_val = solve_gamma(g_mid)
-        if gamma is None:
-            return right_val, None, None
-        status, _z, g_end, q_end, _ = _propagate(
-            p, -z_edge, g_mid, gamma * _INV_SQRT_2PI, atol, rtol,
-            lo=-1e-9, hi=1.0, peak_stop=True)
-        if status == _HIGH:
-            return 1, gamma, None
-        if status in (_PEAK, _LOW):
-            return -1, gamma, None
-        if status == _DIVERGED:
-            return (1 if q_end < 0 else -1), gamma, None
-        if g_end >= 1.0 - outer_tol:
-            return 0, gamma, g_end
-        return -1, gamma, g_end
-
-    mid_lo = 0.5 ** p + 1e-9
-    mid_hi = 1.0 - 1e-9
-
-    # Coarse scan: supplies the bisection bracket and flags ambiguity if the
-    # outer classification switches low-to-high more than once (uniqueness
-    # of the boundary-value solution is an open question).
-    scan_points = [mid_lo + k * (mid_hi - mid_lo) / 8.0 for k in range(9)]
-    scan_classes = [classify_left(gm)[0] for gm in scan_points]
-    brackets = []
-    last_low = None
-    for gm, cls in zip(scan_points, scan_classes):
-        if cls < 0:
-            last_low = gm
-        elif cls > 0 and last_low is not None:
-            brackets.append((last_low, gm))
-            last_low = None
-    if not brackets:
-        raise CalibrationError(
-            "no admissible midpoint bracket found",
-            diagnostics={"p": p, "scan_points": scan_points,
-                         "scan_classes": scan_classes})
-
-    best = None
-    lo, hi = brackets[0]
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        cls, gamma, _val = classify_left(mid)
-        if cls == 0:
-            best = (mid, gamma)
-            break
-        if cls < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    if best is None:
-        # Accept window never hit; take the closest non-overshooting side.
-        cls, gamma, _val = classify_left(lo)
-        if gamma is None:
-            raise CalibrationError(
-                "slope bracket [-10, 0] failed inside the midpoint bracket",
-                diagnostics={"p": p, "g_mid": lo})
-        best = (lo, gamma)
-
-    g_mid, gamma = best
-    curve = _snapped(integrate_g(p, g_mid, gamma, epsilon, atol=atol, rtol=rtol))
+    n_half = max(2, round(z_edge / GRID_DZ))
+    dz = z_edge / n_half
+    zs = dz * np.arange(-n_half, n_half + 1)
+    coarse = _newton(p, zs, 0.5 - zs / (2.0 * zs[-1]))
+    fine_zs = 0.5 * dz * np.arange(-2 * n_half, 2 * n_half + 1)
+    fine = _newton(p, fine_zs, np.interp(fine_zs, zs, coarse))
+    curve = _snapped(p, epsilon, zs, (4.0 * fine[::2] - coarse) / 3.0)
+    g_mid = float(curve.gs[n_half])
+    gamma = float(curve.gzs[n_half]) * math.sqrt(2.0 * math.pi)
     left_res, right_res = curve.left_residual, curve.right_residual
     if left_res > boundary_tol or right_res > boundary_tol:
         raise CalibrationError(
-            "boundary residuals exceed tolerance after bisection",
+            "boundary residuals exceed tolerance",
             diagnostics={"p": p, "g_mid": g_mid, "gamma": gamma,
                          "left_residual": left_res, "right_residual": right_res,
                          "boundary_tol": boundary_tol})
-    return ShootingResult(
-        g_mid=g_mid, gamma=gamma, curve=curve,
-        left_residual=left_res, right_residual=right_res,
-        ambiguous=len(brackets) > 1, candidate_brackets=tuple(brackets))
+    return ShootingResult(g_mid=g_mid, gamma=gamma, curve=curve,
+                          left_residual=left_res, right_residual=right_res)
 
 
 def eval_g_z(curve, z, y=None, *, slope=False):

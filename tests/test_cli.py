@@ -32,10 +32,11 @@ class TestCalibrate:
         assert proc.returncode == 2
         assert "--epsilon" in proc.stderr
 
-    def test_small_epsilon_curve_evaluates(self, tmp_path):
+    @pytest.mark.parametrize("epsilon", ["1e-6", "1e-10"])
+    def test_small_epsilon_curve_evaluates(self, tmp_path, epsilon):
         # Near y = 1 - 1e-6 the stored levels move the quantile grid by
         # about 1e-11 in z; the reloaded curve must still evaluate.
-        proc = run_cli(["calibrate", "--p", "2", "--epsilon", "1e-6",
+        proc = run_cli(["calibrate", "--p", "2", "--epsilon", epsilon,
                         "--out", "c6"], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         proc = run_cli(["value", "--T", "1", "--x", "0", "--c", "0",

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from targetcost.errors import DomainError, RangeError, UsageError
+from targetcost.errors import CalibrationError, DomainError, RangeError, UsageError
 from targetcost.normals import Params, std_normal_cdf, std_normal_quantile
-from targetcost.ode import (DEFAULT_EPSILON, GRID_DZ, GCurve,
+from targetcost.ode import (DEFAULT_EPSILON, GRID_DZ, GCurve, _newton, _snapped,
                             chord_lower_bound, curve_invariant_report, eval_g,
                             eval_g_value, integrate_g, load_curve,
                             ode_residuals, save_curve, shoot, value_function)
@@ -31,10 +31,15 @@ class TestIntegrate:
                        zs=zs, gzs=np.zeros_like(ys))
         assert np.max(ode_residuals(curve)) == 0.0
 
-    def test_calibrated_pair_meets_boundaries(self, shot_p2):
-        curve = integrate_g(2.0, shot_p2.g_mid, shot_p2.gamma)
-        assert abs(curve.gs[0] - 1.0) <= 1e-3
-        assert abs(curve.gs[-1]) <= 1e-3
+    def test_calibrated_pair_meets_boundaries(self, shots_all):
+        # The initial-value route from the solved midpoint pair retraces the
+        # whole solved curve, values and slopes, at every node.
+        for p, res in shots_all.items():
+            curve = integrate_g(p, res.g_mid, res.gamma)
+            assert abs(curve.gs[0] - 1.0) <= 1e-3
+            assert abs(curve.gs[-1]) <= 1e-3
+            assert np.max(np.abs(curve.gs - res.curve.gs)) <= 1e-9, p
+            assert np.max(np.abs(curve.gzs - res.curve.gzs)) <= 1e-9, p
 
     def test_reported_rounded_pair_misses_boundaries(self):
         # The historically reported round pair (0.88, -0.21) integrates
@@ -82,10 +87,24 @@ class TestShoot:
         for p, res in shots_all.items():
             assert res.g_mid >= 0.5 ** p
 
-    def test_no_ambiguity_reported(self, shots_all):
-        for res in shots_all.values():
-            assert not res.ambiguous
-            assert len(res.candidate_brackets) == 1
+    def test_non_monotone_solution_is_rejected(self):
+        # Started from cdf(-z) at p = 3, Newton converges to a solution of the
+        # same difference equations that dips below 0; it must not be stored.
+        z_edge = -std_normal_quantile(DEFAULT_EPSILON)
+        n_half = round(z_edge / GRID_DZ)
+        zs = z_edge / n_half * np.arange(-n_half, n_half + 1)
+        spurious = _newton(3.0, zs, std_normal_cdf(-zs))
+        assert np.min(spurious) < -0.1
+        with pytest.raises(CalibrationError):
+            _snapped(3.0, DEFAULT_EPSILON, zs, spurious)
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_small_epsilon_calibrates(self, p, epsilon):
+        res = shoot(p, epsilon)
+        for name, (ok, worst) in curve_invariant_report(res.curve).items():
+            assert ok, f"p={p} epsilon={epsilon} {name} worst={worst}"
+        assert res.left_residual <= 1e-3 and res.right_residual <= 1e-3
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):

@@ -242,6 +242,20 @@ class TestProfile:
         assert len(lines) == 4
 
 
+def test_scaling_suite_sweeps_each_lattice_once(monkeypatch):
+    from targetcost import verify
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, tuple(sorted(kwargs.items()))))
+        return dp_value(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "dp_value", counted)
+    ok, _details = verify.suite_scaling("full", {})
+    assert ok
+    assert len(calls) == len(set(calls)) == 24
+
+
 def test_refinement_gap_helper():
     gap = refinement_gap(500, 1.0, 0.0, 2.0)
     assert gap == pytest.approx(abs(dp_value(1000, 1.0, 0.0, 2.0)
