@@ -34,8 +34,9 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("epsilon", ["1e-6", "1e-10"])
     def test_small_epsilon_curve_evaluates(self, tmp_path, epsilon):
-        # Near y = 1 - 1e-6 the stored levels move the quantile grid by
-        # about 1e-11 in z; the reloaded curve must still evaluate.
+        # Near y = 1 - epsilon the stored levels move the quantile grid by
+        # about ulp(1)/pdf(z) in z (1e-11 at 1e-6); the reloaded curve must
+        # still evaluate.
         proc = run_cli(["calibrate", "--p", "2", "--epsilon", epsilon,
                         "--out", "c6"], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
