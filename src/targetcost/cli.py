@@ -24,7 +24,8 @@ import numpy as np
 from .errors import (CalibrationError, DivergenceError, RangeError,
                      ResourceError, TargetCostError, UsageError)
 from .normals import Params, std_normal_cdf
-from .ode import eval_g, load_curve, save_curve, shoot, value_function
+from .ode import (curve_invariant_report, eval_g, load_curve, save_curve,
+                  shoot, value_function)
 from .sim import (bsde_residual, dump_path_csv, mc_cost_estimate, nth_path,
                   run_optimal_control)
 from .walk import dp_g_profile, dp_value, save_profile
@@ -113,6 +114,11 @@ def cmd_calibrate(args):
     print(f"left_residual = {result.left_residual:.3e}")
     print(f"right_residual = {result.right_residual:.3e}")
     print(f"curve: {out}.csv  sidecar: {out}.json")
+    failed = [f"{name} (worst {worst:.3g})" for name, (ok, worst)
+              in curve_invariant_report(result.curve).items() if not ok]
+    if failed:
+        print(f"warning: curve fails invariants: {', '.join(failed)}",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import CalibrationError, DivergenceError, DomainError, RangeError, UsageError
 from .normals import (
@@ -217,9 +216,15 @@ class GCurve:
 
     def __post_init__(self):
         if self.zs is None:
-            z = std_normal_quantile(self.ys)
+            z = self._level_zs
             object.__setattr__(self, "zs", z)
             object.__setattr__(self, "gzs", self.dgs * std_normal_pdf(z))
+
+    @cached_property
+    def _level_zs(self):
+        # quantile(ys), shared by a curve built from its levels and by the
+        # evaluator, so that loading a curve takes one quantile, not two.
+        return std_normal_quantile(self.ys)
 
     @cached_property
     def _hermite(self):
@@ -230,7 +235,7 @@ class GCurve:
         # (1e-11 at y = 1 - 1e-6); so the step is read on the lower half,
         # where levels keep their relative precision, and a node may sit
         # that far off the grid.
-        zs = std_normal_quantile(self.ys)
+        zs = self._level_zs
         mid = max(1, int(np.argmin(np.abs(zs))))
         dz = (zs[mid] - zs[0]) / mid
         slack = 1e-9 * abs(dz) + 4.0 * np.finfo(float).eps / std_normal_pdf(zs)
@@ -338,6 +343,9 @@ def _newton(p, zs, g):
     by more than 1e-10.  Raises CalibrationError when that does not happen
     within _MAX_NEWTON steps.
     """
+    # Imported here so that only the commands that calibrate load SciPy.
+    from scipy.linalg import solve_banded
+
     expo = p / (p - 1.0)
     two_pm1 = 2.0 * (p - 1.0)
     h = zs[1] - zs[0]
@@ -437,8 +445,10 @@ def eval_g_z(curve, z, y=None, *, slope=False):
     through the stored values and slopes, with the cell found by arithmetic
     on the uniform grid.  Outside, it is the linear extrapolation in the
     level y = cdf(z) from the nearest end, clamped into [0, 1], with the
-    end's y-slope.  y, when the caller holds the levels, spares the cdf
-    there.
+    end's y-slope; where that end already sits at the bound the line runs
+    toward (g = 1 on the left, g = 0 on the right, with a nonpositive
+    slope) the value is that bound and no cdf is taken.  y, when the
+    caller holds the levels, spares the cdf elsewhere.
     """
     z0, inv_dz, coeffs = curve._hermite
     n_cells = len(coeffs)
@@ -450,10 +460,15 @@ def eval_g_z(curve, z, y=None, *, slope=False):
     g = ((a3 * t + a2) * t + a1) * t + a0
     gz = ((3.0 * a3 * t + 2.0 * a2) * t + a1) * inv_dz if slope else None
     ys, gs, dgs = curve.ys, curve.gs, curve.dgs
-    for tail, end in ((u < 0.0, 0), (u > n_cells, -1)):
+    for tail, end, bound in ((u < 0.0, 0, 1.0), (u > n_cells, -1, 0.0)):
         if np.any(tail):
-            yt = std_normal_cdf(z[tail]) if y is None else y[tail]
-            g[tail] = np.clip(gs[end] + dgs[end] * (yt - ys[end]), 0.0, 1.0)
+            if dgs[end] <= 0.0 and np.clip(gs[end], 0.0, 1.0) == bound:
+                # The line leaves the end at or beyond the bound it runs
+                # toward, so the clamp alone decides and no level is needed.
+                g[tail] = bound
+            else:
+                yt = std_normal_cdf(z[tail]) if y is None else y[tail]
+                g[tail] = np.clip(gs[end] + dgs[end] * (yt - ys[end]), 0.0, 1.0)
             if slope:
                 gz[tail] = dgs[end] * std_normal_pdf(z[tail])
     return (g, gz) if slope else g

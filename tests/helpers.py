@@ -16,7 +16,6 @@ import numpy as np
 
 import targetcost
 
-CLI = [sys.executable, "-m", "targetcost.cli"]
 # The directory holding the package this test process imported.  Putting it
 # first on the child's PYTHONPATH makes every CLI subprocess run that same
 # package, whatever its cwd and whether or not another copy is installed.
@@ -78,11 +77,16 @@ def reference_dp_value(n, T, c, p, tie="geq"):
 
 def run_cli(args, cwd, env_extra=None):
     """Run ``python -m targetcost.cli ARGS`` in ``cwd`` and capture its output."""
+    return run_python(["-m", "targetcost.cli"] + args, cwd, env_extra)
+
+
+def run_python(args, cwd, env_extra=None):
+    """Run a fresh ``python ARGS`` that imports the tested package, in ``cwd``."""
     env = dict(os.environ)
     env.pop("TARGETCOST_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(CLI + args, cwd=cwd, env=env,
+    return subprocess.run([sys.executable] + args, cwd=cwd, env=env,
                           capture_output=True, text=True)

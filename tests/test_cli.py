@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import run_cli
+from helpers import run_cli, run_python
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,20 @@ class TestCalibrate:
         proc = run_cli(["simulate", "--curve", "c6.csv", "--n-paths", "64",
                         "--n-steps", "50"], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("p, failed", [("1.1", "lower_bound"), ("2", None)])
+    def test_failed_invariants_are_reported(self, tmp_path, p, failed):
+        # The cutoff bias leaves g below (1 - y)^p near y = 1 at p = 1.1; the
+        # curve is still written, with one warning line naming the invariant.
+        proc = run_cli(["calibrate", "--p", p, "--out", "c"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "c.csv").exists()
+        if failed is None:
+            assert proc.stderr == ""
+        else:
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("warning:")
+            assert failed in lines[0]
 
     def test_non_numeric_input_names_flag(self, tmp_path):
         proc = run_cli(["calibrate", "--p", "abc"], cwd=tmp_path)
@@ -209,6 +223,42 @@ class TestExpcase:
         proc = run_cli(["expcase", "--n-list", "4,8", "--out", "w.csv"],
                        cwd=tmp_path)
         assert len((tmp_path / "w.csv").read_text().strip().splitlines()) == 3
+
+    def test_sequence_from_two(self, tmp_path):
+        # n = 2 puts the entropy antiderivative on its logarithmic branch
+        proc = run_cli(["expcase", "--n-list", "2,4", "--out", "w.csv"],
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "w.csv").read_text().strip().splitlines()) == 3
+
+
+_SCIPY_PROBE = """
+import json, sys
+from targetcost import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+at_import = scipy_modules()
+codes = [cli.main(argv) for argv in (
+    ["value", "--curve", "gcurve_p2.csv"],
+    ["oracle", "--n", "100"],
+    ["expcase", "--out", "w.csv"],
+    ["simulate", "--n-paths", "64", "--n-steps", "50", "--seed", "1"],
+)]
+print(json.dumps({"import": at_import, "codes": codes,
+                  "commands": scipy_modules()}))
+"""
+
+
+class TestStartup:
+    def test_commands_without_calibration_load_no_scipy(self, workdir):
+        proc = run_python(["-c", _SCIPY_PROBE], cwd=workdir)
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert probe["import"] == []
+        assert probe["codes"] == [0, 0, 0, 0]
+        assert probe["commands"] == []
 
 
 class TestConfigPrecedence:
