@@ -21,8 +21,8 @@ import sys
 
 import numpy as np
 
-from .errors import (CalibrationError, DivergenceError, RangeError,
-                     ResourceError, TargetCostError, UsageError)
+from .errors import (CalibrationError, ResourceError, TargetCostError,
+                     UsageError)
 from .normals import Params, std_normal_cdf
 from .ode import (curve_invariant_report, eval_g, load_curve, save_curve,
                   shoot, value_function)
@@ -336,8 +336,28 @@ def _validate(args):
         raise UsageError("--delta must lie in (0, T/2)")
 
 
+def _join_negative_values(argv):
+    """argv with `--flag -1e-3` written `--flag=-1e-3`.  argparse reads a
+    token such as -1e-3 as an option, not a negative number; every option
+    of this CLI but --help takes one value, so the join is safe."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and prev != "--help" \
+                and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -355,7 +375,7 @@ def main(argv=None):
                 setattr(args, key, None)
         _validate(args)
         return args.fn(args)
-    except (CalibrationError, DivergenceError, RangeError, ResourceError) as exc:
+    except (CalibrationError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CalibrationError) and exc.diagnostics:
             print(f"diagnostics: {exc.diagnostics}", file=sys.stderr)

@@ -13,38 +13,6 @@ class UsageError(TargetCostError, ValueError):
     """Inputs are individually valid but mutually inconsistent."""
 
 
-class DivergenceError(TargetCostError, ArithmeticError):
-    """The ODE integration blew up numerically.
-
-    Attributes:
-        y_fail: level at which the blow-up was detected.
-        branch: 'left' or 'right' integration branch.
-    """
-
-    def __init__(self, message, y_fail=None, branch=None):
-        super().__init__(message)
-        self.y_fail = y_fail
-        self.branch = branch
-
-
-class RangeError(TargetCostError, ArithmeticError):
-    """The ODE solution left the admissible band [-0.01, 1.01].
-
-    Signals a bad shooting pair rather than a numerical failure.
-
-    Attributes:
-        y_fail: level at which the band was left.
-        branch: 'left' or 'right' integration branch.
-        side: 'low' or 'high', which bound was crossed.
-    """
-
-    def __init__(self, message, y_fail=None, branch=None, side=None):
-        super().__init__(message)
-        self.y_fail = y_fail
-        self.branch = branch
-        self.side = side
-
-
 class CalibrationError(TargetCostError, RuntimeError):
     """The shooting method could not bracket or meet the boundary targets.
 

@@ -1,4 +1,4 @@
-"""Standard-normal primitives and the conditional-probability level map.
+"""Standard-normal primitives and the problem-instance record Params.
 
 The cumulative distribution goes through the complementary error function,
 computed by Cody's rational Chebyshev approximations (W. J. Cody, Math.
@@ -194,35 +194,6 @@ def std_normal_quantile(q):
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("q must lie strictly inside (0, 1)")
     return _match(q, _quantile_core(arr))
-
-
-def h(y):
-    """Diffusion coefficient exp(-quantile(y)^2) / (4 pi) on (0, 1).
-
-    Strictly positive, symmetric about 1/2 with its maximum there, and
-    decaying faster than any polynomial at the endpoints.
-    """
-    arr = _as_array(y, "y")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("y must lie strictly inside (0, 1)")
-    z = _quantile_core(arr)
-    out = np.exp(-z * z) / (4.0 * math.pi)
-    # Deep tails underflow exp(-z^2); floor keeps the positivity contract.
-    out = np.maximum(out, 5e-324)
-    return _match(y, out)
-
-
-def martingale_level(t, w, T, c):
-    """Conditional probability that the terminal Brownian value ends below c.
-
-    Equals cdf((c - w) / sqrt(T - t)) for 0 <= t < T; the terminal value at
-    t = T is an indicator and is set by the caller, not here.
-    """
-    if not (0.0 <= t < T):
-        raise DomainError("need 0 <= t < T; the terminal level is an indicator")
-    arr = _as_array(w, "w")
-    out = std_normal_cdf((c - arr) / math.sqrt(T - t))
-    return _match(w, out)
 
 
 @dataclass(frozen=True)

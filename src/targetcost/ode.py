@@ -1,10 +1,10 @@
 """Boundary-value solve for the value-function kernel g.
 
 g solves  h(y) g''(y) + (p - 1) (g(y) - g(y)^{p/(p-1)}) = 0  on (0, 1) with
-g -> 1 at 0 and g -> 0 at 1.  The coefficient h vanishes faster than any
-polynomial at the endpoints, so the equation is singular there.  We remove
-the singularity exactly with the substitution y = cdf(z): since
-h(y) = pdf(z)^2 / 2, the equation becomes
+g -> 1 at 0 and g -> 0 at 1.  The coefficient h(y) = exp(-quantile(y)^2) /
+(4 pi) vanishes faster than any polynomial at the endpoints, so the
+equation is singular there.  We remove the singularity exactly with the
+substitution y = cdf(z): since h(y) = pdf(z)^2 / 2, the equation becomes
 
     g_zz = -z g_z - 2 (p - 1) (g - g^{p/(p-1)})
 
@@ -15,10 +15,8 @@ tridiagonal solve per step, on the stored grid and on the grid of half its
 step, combined by Richardson extrapolation.  The midpoint value g(1/2) and
 slope gamma = dg/dy(1/2) are read off the result.
 
-integrate_g is the independent initial-value route: from a midpoint pair it
-integrates outward with an adaptive embedded Runge-Kutta pair
-(Dormand-Prince 4(5), absolute tolerance 1e-10, relative 1e-9) onto the
-same grid.
+The tests check the result by an independent initial-value route: from the
+midpoint pair, SciPy's DOP853 integrates outward onto the same grid.
 
 Curves store (y, g, dg/dy) on a grid uniform in z and serialize to CSV plus
 a JSON sidecar.  Every kernel lookup goes through one evaluator, eval_g_z:
@@ -36,25 +34,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CalibrationError, DivergenceError, DomainError, RangeError, UsageError
-from .normals import (
-    _INV_SQRT_2PI,
-    Params,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-)
-
-# Admissible band and blow-up thresholds for the integrated solution.
-RANGE_LO = -0.01
-RANGE_HI = 1.01
-DIVERGE_G = 2.0
-DIVERGE_DGDY = 1.0e6
+from .errors import CalibrationError, DomainError, UsageError
+from .normals import Params, std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 DEFAULT_EPSILON = 1e-4
 DEFAULT_BOUNDARY_TOL = 1e-3
-DEFAULT_ATOL = 1e-10
-DEFAULT_RTOL = 1e-9
 # Spacing of the stored grid in the z coordinate.  Fine enough that the
 # five-point stencil used by ode_residuals resolves the curvature to well
 # below the 1e-7 residual contract and that raw second differences of the
@@ -62,20 +46,6 @@ DEFAULT_RTOL = 1e-9
 GRID_DZ = 1.25e-3
 
 _MAX_NEWTON = 50
-
-# Dormand-Prince 4(5) tableau.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (_B1 - 5179 / 57600, _B3 - 7571 / 16695, _B4 - 393 / 640,
-                                _B5 + 92097 / 339200, _B6 - 187 / 2100, -1 / 40)
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-
-# Outcomes of one integration sweep.
-_OK, _LOW, _HIGH, _DIVERGED = "ok", "low", "high", "diverged"
 
 
 def chord_lower_bound(y, z, p):
@@ -89,112 +59,6 @@ def chord_lower_bound(y, z, p):
     if p <= 1.0:
         raise DomainError("p must be > 1")
     return z ** p / y ** (p - 1) + (1.0 - z) ** p / (1.0 - y) ** (p - 1)
-
-
-def _propagate(p, z_end, g0, q0, atol, rtol, targets):
-    """Integrate (g, g_z) from z = 0 to z_end, recording at targets.
-
-    Returns (status, z_stop, recorded) where recorded is a list of (g, q)
-    aligned with targets.  Statuses: 'ok', 'low' / 'high' when g leaves the
-    [RANGE_LO, RANGE_HI] band, or 'diverged' on numerical blow-up; z_stop
-    is where integration stopped.
-
-    The Runge-Kutta stages are written out inline, since a pure-Python
-    step loop is dominated by call overhead.
-    """
-    expo = p / (p - 1.0)
-    two_pm1 = 2.0 * (p - 1.0)
-    direction = 1.0 if z_end > 0.0 else -1.0
-    exp_ = math.exp
-    a21, a31, a32 = _A21, _A31, _A32
-    a41, a42, a43 = _A41, _A42, _A43
-    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
-    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
-    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
-    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
-    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
-
-    recorded = []
-    next_target = 0
-
-    z, g, q = 0.0, g0, q0
-    k1g = q
-    k1q = -z * q - two_pm1 * (g - (g if g > 0.0 else 0.0) ** expo)
-    hstep = direction * min(0.05, abs(z_end) / 10.0 + 1e-12)
-    steps = 0
-    while True:
-        if direction * (z_end - z) <= 1e-14:
-            return _OK, z, recorded
-        limit = targets[next_target] if next_target < len(targets) else z_end
-        if direction * (z + hstep - limit) > 0.0:
-            hstep = limit - z
-
-        gs_ = g + hstep * a21 * k1g
-        qs_ = q + hstep * a21 * k1q
-        zs_ = z + c2 * hstep
-        k2g = qs_
-        k2q = -zs_ * qs_ - two_pm1 * (gs_ - (gs_ if gs_ > 0.0 else 0.0) ** expo)
-
-        gs_ = g + hstep * (a31 * k1g + a32 * k2g)
-        qs_ = q + hstep * (a31 * k1q + a32 * k2q)
-        zs_ = z + c3 * hstep
-        k3g = qs_
-        k3q = -zs_ * qs_ - two_pm1 * (gs_ - (gs_ if gs_ > 0.0 else 0.0) ** expo)
-
-        gs_ = g + hstep * (a41 * k1g + a42 * k2g + a43 * k3g)
-        qs_ = q + hstep * (a41 * k1q + a42 * k2q + a43 * k3q)
-        zs_ = z + c4 * hstep
-        k4g = qs_
-        k4q = -zs_ * qs_ - two_pm1 * (gs_ - (gs_ if gs_ > 0.0 else 0.0) ** expo)
-
-        gs_ = g + hstep * (a51 * k1g + a52 * k2g + a53 * k3g + a54 * k4g)
-        qs_ = q + hstep * (a51 * k1q + a52 * k2q + a53 * k3q + a54 * k4q)
-        zs_ = z + c5 * hstep
-        k5g = qs_
-        k5q = -zs_ * qs_ - two_pm1 * (gs_ - (gs_ if gs_ > 0.0 else 0.0) ** expo)
-
-        gs_ = g + hstep * (a61 * k1g + a62 * k2g + a63 * k3g + a64 * k4g + a65 * k5g)
-        qs_ = q + hstep * (a61 * k1q + a62 * k2q + a63 * k3q + a64 * k4q + a65 * k5q)
-        zs_ = z + hstep
-        k6g = qs_
-        k6q = -zs_ * qs_ - two_pm1 * (gs_ - (gs_ if gs_ > 0.0 else 0.0) ** expo)
-
-        g_new = g + hstep * (b1 * k1g + b3 * k3g + b4 * k4g + b5 * k5g + b6 * k6g)
-        q_new = q + hstep * (b1 * k1q + b3 * k3q + b4 * k4q + b5 * k5q + b6 * k6q)
-        k7g = q_new
-        k7q = -zs_ * q_new - two_pm1 * (g_new - (g_new if g_new > 0.0 else 0.0) ** expo)
-
-        err_g = hstep * (e1 * k1g + e3 * k3g + e4 * k4g + e5 * k5g + e6 * k6g + e7 * k7g)
-        err_q = hstep * (e1 * k1q + e3 * k3q + e4 * k4q + e5 * k5q + e6 * k6q + e7 * k7q)
-        sg = atol + rtol * max(abs(g), abs(g_new))
-        sq = atol + rtol * max(abs(q), abs(q_new))
-        err = math.sqrt(0.5 * ((err_g / sg) ** 2 + (err_q / sq) ** 2))
-
-        if not math.isfinite(err):
-            return _DIVERGED, z, recorded
-        if err <= 1.0:
-            z += hstep
-            g, q, k1g, k1q = g_new, q_new, k7g, k7q
-            if not (math.isfinite(g) and math.isfinite(q)):
-                return _DIVERGED, z, recorded
-            if g < RANGE_LO:
-                return _LOW, z, recorded
-            if g > RANGE_HI:
-                return _HIGH, z, recorded
-            if abs(g) > DIVERGE_G or \
-                    abs(q) > DIVERGE_DGDY * exp_(-0.5 * z * z) * _INV_SQRT_2PI:
-                return _DIVERGED, z, recorded
-            if next_target < len(targets) and \
-                    direction * (z - targets[next_target]) >= -1e-13:
-                recorded.append((g, q))
-                next_target += 1
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            factor = max(0.2, 0.9 * err ** -0.2)
-        hstep *= factor
-        steps += 1
-        if steps > 500_000:
-            return _DIVERGED, z, recorded
 
 
 @dataclass(frozen=True)
@@ -276,64 +140,6 @@ class ShootingResult:
     right_residual: float
 
 
-def _validate_inputs(p, g_mid, gamma, epsilon):
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
-        raise DomainError("p must be a finite number > 1")
-    if g_mid is not None and not (0.0 < g_mid < 1.0):
-        raise DomainError("g_mid must lie strictly inside (0, 1)")
-    if gamma is not None and not math.isfinite(gamma):
-        raise DomainError("gamma must be finite")
-    if not (0.0 < epsilon < 0.1):
-        raise DomainError("epsilon must lie in (0, 0.1)")
-
-
-def integrate_g(p, g_mid, gamma, epsilon=DEFAULT_EPSILON, *,
-                atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL):
-    """Integrate the midpoint value problem outward to both cutoffs.
-
-    Returns a GCurve on a grid uniform in the quantile coordinate.  Raises
-    RangeError when the solution leaves [-0.01, 1.01] (a bad shooting pair)
-    and DivergenceError on numerical blow-up, both carrying the level at
-    which integration stopped.  The left branch is integrated first.
-    """
-    _validate_inputs(p, g_mid, gamma, epsilon)
-    z_edge = -std_normal_quantile(epsilon)
-    n_half = max(2, round(z_edge / GRID_DZ))
-    dz = z_edge / n_half
-    q0 = gamma * _INV_SQRT_2PI
-
-    branches = {}
-    for branch, sign in (("left", -1.0), ("right", 1.0)):
-        targets = [sign * dz * k for k in range(1, n_half + 1)]
-        status, z_stop, recorded = _propagate(
-            p, sign * z_edge, g_mid, q0, atol, rtol, targets=targets)
-        if status in (_LOW, _HIGH):
-            raise RangeError(
-                f"solution left [{RANGE_LO}, {RANGE_HI}] on the {branch} branch",
-                y_fail=std_normal_cdf(z_stop), branch=branch, side=status)
-        if status == _DIVERGED:
-            raise DivergenceError(
-                f"integration blew up on the {branch} branch",
-                y_fail=std_normal_cdf(z_stop), branch=branch)
-        if len(recorded) != n_half:
-            raise DivergenceError(
-                f"grid recording misaligned on the {branch} branch "
-                f"({len(recorded)} of {n_half} nodes)",
-                y_fail=std_normal_cdf(z_stop), branch=branch)
-        branches[branch] = recorded
-
-    zs = np.array([dz * k for k in range(-n_half, n_half + 1)])
-    gz_pairs = ([branches["left"][k] for k in range(n_half - 1, -1, -1)]
-                + [(g_mid, q0)]
-                + branches["right"])
-    gs = np.array([gg for gg, _ in gz_pairs])
-    qs = np.array([qq for _, qq in gz_pairs])
-    ys = std_normal_cdf(zs)
-    dgs = qs / std_normal_pdf(zs)
-    return GCurve(p=float(p), ys=ys, gs=gs, dgs=dgs, epsilon=float(epsilon),
-                  zs=zs, gzs=qs)
-
-
 def _newton(p, zs, g):
     """Solve the central-difference equations of
     g_zz + z g_z + 2 (p - 1) (g - g^{p/(p-1)}) = 0 on the uniform nodes zs
@@ -413,7 +219,10 @@ def shoot(p, epsilon=DEFAULT_EPSILON, boundary_tol=DEFAULT_BOUNDARY_TOL):
     Newton does not converge, when the solution is not monotone within
     [0, 1], or when the boundary residuals exceed boundary_tol.
     """
-    _validate_inputs(p, None, None, epsilon)
+    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
+        raise DomainError("p must be a finite number > 1")
+    if not (0.0 < epsilon < 0.1):
+        raise DomainError("epsilon must lie in (0, 0.1)")
     if not (0.0 < boundary_tol < 0.5):
         raise DomainError("boundary_tol must lie in (0, 0.5)")
     z_edge = -std_normal_quantile(epsilon)

@@ -98,27 +98,26 @@ def _brownian(seed, i0, i1, n_steps, sqrt_dt):
     return dW, W
 
 
-def nth_path(T, n_steps, seed, index):
-    """Skeleton of path `index` from the master seed's stream layout."""
+def _check_mc(T, n_steps, n_paths):
+    """The arguments every path generator takes: a finite horizon T > 0,
+    an integer step count >= 2 and an integer path count >= 1."""
     if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 2):
         raise DomainError("n_steps must be an integer >= 2")
-    if not (T > 0.0):
-        raise DomainError("T must be > 0")
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise DomainError("n_paths must be an integer >= 1")
+    if not (T > 0.0 and math.isfinite(T)):
+        raise DomainError("T must be a finite number > 0")
+
+
+def nth_path(T, n_steps, seed, index):
+    """Skeleton of path `index` from the master seed's stream layout."""
+    _check_mc(T, n_steps, 1)
     if index < 0:
         raise DomainError("index must be >= 0")
     times = np.linspace(0.0, T, n_steps + 1)
     dW, W = _brownian(seed, index, index + 1, n_steps, math.sqrt(T / n_steps))
     return SimPath(n_steps=int(n_steps), times=times, dW=dW[0], W=W[0],
                    seed=int(seed))
-
-
-def simulate_brownian(T, n_steps, seed):
-    """Path skeleton: times, increments and the running Brownian values.
-
-    Deterministic given the seed; the path carries the stream that the
-    Monte Carlo loop assigns to path index 0 of the same master seed.
-    """
-    return nth_path(T, n_steps, seed, 0)
 
 
 def _gain(curve, p, zscore, transform=None):
@@ -203,25 +202,6 @@ def run_optimal_control(curve, params, path, *, gain_transform=None):
     return path
 
 
-def exponential_form_control(curve, params, path):
-    """The closed-form representation of the same control along a fixed path:
-    u_t = (1-x) * gain_t / (T-t) * exp(-integral of gain_s / (T-s) ds),
-    with the integral accumulated per step at frozen gain (exact logs).
-    Agrees with the feedback recursion up to floating-point roundoff.
-    """
-    p, T, x, c = params.p, params.T, params.x, params.c
-    times, W = path.times, path.W
-    n = len(times) - 1
-    u = np.zeros(n)
-    log_decay = 0.0
-    for k in range(n - 1):
-        tau = T - times[k]
-        kappa = _gain(curve, p, np.atleast_1d((c - W[k]) / math.sqrt(tau)))[0]
-        u[k] = (1.0 - x) * kappa / tau * math.exp(log_decay)
-        log_decay += kappa * math.log((T - times[k + 1]) / tau)
-    return u
-
-
 def _block_ranges(n_paths):
     return [(i, min(i + BLOCK, n_paths)) for i in range(0, n_paths, BLOCK)]
 
@@ -246,8 +226,7 @@ def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
     Also returns the feasibility violation count as third element.
     """
     params = curve.check_params(params)
-    if n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
+    _check_mc(params.T, n_steps, n_paths)
     times = np.linspace(0.0, params.T, n_steps + 1)
     sqrt_dt = math.sqrt(params.T / n_steps)
 
@@ -281,6 +260,7 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed, *, threads=None
     r_k = dY_k - (p-1) Y_k^{p/(p-1)} dt - Z_k dW_k.  Reports the mean (with
     a per-path standard error), the root mean square, and the smallest Z.
     """
+    _check_mc(T, n_steps, n_paths)
     if not (0.0 < delta < T / 2.0):
         raise DomainError("delta must lie in (0, T/2)")
     curve.check_params((p, T, 0.0, c))
@@ -325,27 +305,6 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed, *, threads=None
         n_paths=n_paths, n_steps=n_steps, delta=float(delta),
         mean_residual=mean, stderr=stderr, rms_residual=rms,
         z_min=z_min, n_window_steps=k_end)
-
-
-def terminal_blowup_medians(curve, p, T, c, n_paths, n_steps, deltas, seed):
-    """Median of Y at T - delta, separately on binding and non-binding paths.
-
-    Documents the singular terminal behavior: the binding-class median grows
-    without bound as delta shrinks while the other class stays bounded.
-    """
-    times = np.linspace(0.0, T, n_steps + 1)
-    sqrt_dt = math.sqrt(T / n_steps)
-    _dW, W = _brownian(seed, 0, n_paths, n_steps, sqrt_dt)
-    bind = W[:, -1] > c
-    out = {}
-    for delta in deltas:
-        k = int(np.searchsorted(times, T - delta + 1e-12))
-        k = min(max(k, 1), n_steps - 1)
-        tau = T - times[k]
-        y = eval_g_z(curve, (c - W[:, k]) / math.sqrt(tau)) / tau ** (p - 1.0)
-        out[float(delta)] = (float(np.median(y[bind])),
-                            float(np.median(y[~bind])))
-    return out
 
 
 def dump_path_csv(path, fh):

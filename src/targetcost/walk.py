@@ -28,14 +28,11 @@ the threshold index Jmax - r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
 from .normals import std_normal_quantile
-
-INFEASIBLE = np.inf  # sentinel for nodes where the constraint already binds
 
 # Band cut-offs: a node below TINY is taken as 0, and a node within
 # CERTAIN_RTOL (relative) of (m dt)^{1-p} is taken as equal to it.
@@ -167,46 +164,6 @@ def dp_value(n, T, c, p, tie="geq"):
     """
     dt = _check_args(n, T, c, p, tie)
     return float(_last_layer(n + 1, _first_binding(n, dt, c, tie), n, dt, p)[0])
-
-
-@dataclass(frozen=True)
-class OracleTable:
-    """Full normalized value table, one array per time level.
-
-    psi[k][j] is the value at step k in walk position j (j up-moves); the
-    unnormalized value is (1-x)^p * psi[k][j].  Kept for diagnostics and
-    invariant tests; dp_value itself keeps one layer's band in O(n) memory.
-    """
-
-    n: int
-    T: float
-    c: float
-    p: float
-    psi: tuple
-
-    def monotone_in_position(self):
-        """Largest violation of 'harder constraint costs more' across nodes."""
-        worst = 0.0
-        for level in self.psi:
-            finite = level[np.isfinite(level)]
-            if len(finite) > 1:
-                worst = max(worst, float(np.max(-np.diff(finite))))
-            # infinite entries sit at the top positions by construction
-        return worst
-
-
-def dp_table(n, T, c, p, tie="geq"):
-    """Like dp_value but retaining every level; O(n^2) memory."""
-    dt = _check_args(n, T, c, p, tie)
-    if n > 5000:
-        raise ResourceError("full table beyond n=5000; use dp_value")
-    J = _first_binding(n, dt, c, tie)
-    levels = [np.where(np.arange(n + 1) >= J, INFEASIBLE, 0.0)]
-    for m, band in enumerate(_sweep(n + 1, J, n, dt, p), start=1):
-        levels.append(_expand(n + 1 - m, *band))
-    levels.reverse()
-    return OracleTable(n=n, T=float(T), c=float(c), p=float(p),
-                       psi=tuple(levels))
 
 
 def dp_g_profile(n, p, levels, tie="geq"):

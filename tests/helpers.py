@@ -1,9 +1,13 @@
-"""Independent numerical oracles and the CLI runner used by the tests.
+"""Independent numerical oracles, test-only diagnostics and the CLI runner
+used by the tests.
 
 The oracles stay deliberately separate from the package implementations:
 the normal cdf oracle integrates the density with composite Gauss-Legendre
-panels, the scalar minimization oracle scans a dense grid, and the lattice
-reference sweeps every node of the triangle with the split a* = rho/(1+rho).
+panels, the scalar minimization oracle scans a dense grid, the lattice
+reference sweeps every node of the triangle with the split a* = rho/(1+rho),
+and the kernel reference integrates the initial-value problem from a
+midpoint pair with SciPy's DOP853 (Hairer, Norsett & Wanner 1993) instead of
+solving the boundary-value problem by Newton's method.
 """
 
 import math
@@ -15,6 +19,9 @@ from pathlib import Path
 import numpy as np
 
 import targetcost
+from targetcost.normals import std_normal_quantile
+from targetcost.ode import DEFAULT_EPSILON, GRID_DZ, eval_g_z
+from targetcost.sim import _brownian, _gain
 
 # The directory holding the package this test process imported.  Putting it
 # first on the child's PYTHONPATH makes every CLI subprocess run that same
@@ -73,6 +80,88 @@ def reference_dp_value(n, T, c, p, tie="geq"):
     for _ in range(n):
         psi = _reference_bellman_sweep(psi, kappa1, p)
     return float(psi[0])
+
+
+def _band_event(bound):
+    def event(z, y):
+        return y[0] - bound
+    event.terminal = True
+    return event
+
+
+def reference_ivp(p, g_mid, gamma, epsilon=DEFAULT_EPSILON):
+    """The kernel equation g_zz = -z g_z - 2 (p-1) (g - g^{p/(p-1)}) as an
+    initial-value problem from g = g_mid, g_z = gamma / sqrt(2 pi) at z = 0,
+    integrated outward by DOP853 (rtol 1e-11, atol 1e-12) onto the nodes
+    of shoot's grid at this epsilon.
+
+    Returns (gs, gzs, exit): values and z-slopes on the nodes, or, when g
+    leaves [-0.01, 1.01], (None, None, (branch, side, z)) with the branch
+    ('left' or 'right'), the bound crossed ('low' or 'high') and where.
+    """
+    from scipy.integrate import solve_ivp
+
+    z_edge = -std_normal_quantile(epsilon)
+    n_half = max(2, round(z_edge / GRID_DZ))
+    nodes = z_edge / n_half * np.arange(n_half + 1)
+    expo, two_pm1 = p / (p - 1.0), 2.0 * (p - 1.0)
+
+    def rhs(z, y):
+        g, gz = y
+        return [gz, -z * gz - two_pm1 * (g - max(g, 0.0) ** expo)]
+
+    events = [_band_event(-0.01), _band_event(1.01)]
+    halves = []
+    for branch, sign in (("left", -1.0), ("right", 1.0)):
+        sol = solve_ivp(rhs, (0.0, sign * nodes[-1]),
+                        [g_mid, gamma * _INV_SQRT_2PI], method="DOP853",
+                        t_eval=sign * nodes, events=events, rtol=1e-11,
+                        atol=1e-12)
+        if sol.status == 1:
+            side = "low" if len(sol.t_events[0]) else "high"
+            return None, None, (branch, side, float(sol.t[-1]))
+        if sol.status != 0:
+            raise RuntimeError(sol.message)
+        halves.append(sol.y)
+    left, right = halves
+    return (np.concatenate((left[0][:0:-1], right[0])),
+            np.concatenate((left[1][:0:-1], right[1])), None)
+
+
+def exponential_form_control(curve, params, path):
+    """The closed-form representation of the feedback control along a fixed
+    path: u_t = (1-x) * gain_t / (T-t) * exp(-integral of gain_s / (T-s) ds),
+    with the integral accumulated per step at frozen gain (exact logs).
+    Agrees with the feedback recursion up to floating-point roundoff.
+    """
+    p, T, x, c = params.p, params.T, params.x, params.c
+    times, W = path.times, path.W
+    n = len(times) - 1
+    u = np.zeros(n)
+    log_decay = 0.0
+    for k in range(n - 1):
+        tau = T - times[k]
+        kappa = _gain(curve, p, np.atleast_1d((c - W[k]) / math.sqrt(tau)))[0]
+        u[k] = (1.0 - x) * kappa / tau * math.exp(log_decay)
+        log_decay += kappa * math.log((T - times[k + 1]) / tau)
+    return u
+
+
+def terminal_blowup_medians(curve, p, T, c, n_paths, n_steps, deltas, seed):
+    """Median of Y = g / (T-t)^{p-1} at T - delta, separately on binding and
+    non-binding paths of the Monte Carlo stream layout."""
+    times = np.linspace(0.0, T, n_steps + 1)
+    _dW, W = _brownian(seed, 0, n_paths, n_steps, math.sqrt(T / n_steps))
+    bind = W[:, -1] > c
+    out = {}
+    for delta in deltas:
+        k = int(np.searchsorted(times, T - delta + 1e-12))
+        k = min(max(k, 1), n_steps - 1)
+        tau = T - times[k]
+        y = eval_g_z(curve, (c - W[:, k]) / math.sqrt(tau)) / tau ** (p - 1.0)
+        out[float(delta)] = (float(np.median(y[bind])),
+                            float(np.median(y[~bind])))
+    return out
 
 
 def run_cli(args, cwd, env_extra=None):

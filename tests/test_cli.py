@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from targetcost import cli
+
 from helpers import run_cli, run_python
 
 
@@ -105,6 +107,21 @@ class TestValue:
     def test_missing_curve(self, tmp_path):
         proc = run_cli(["value", "--curve", "nope.csv"], cwd=tmp_path)
         assert proc.returncode == 2
+
+
+class TestNegativeExponentValue:
+    # argparse alone reads "-8.86e-05" as an unknown option, not as --c's value
+    @pytest.mark.parametrize("argv", [
+        ["value", "--curve", "gcurve_p2.csv", "--c"],
+        ["oracle", "--n", "200", "--c"],
+    ])
+    def test_spaced_form_matches_equals_form(self, workdir, monkeypatch,
+                                             capsys, argv):
+        monkeypatch.chdir(workdir)
+        assert cli.main(argv + ["-8.86e-05"]) == 0
+        spaced = capsys.readouterr().out
+        assert cli.main(argv[:-1] + ["--c=-8.86e-05"]) == 0
+        assert capsys.readouterr().out == spaced
 
 
 class TestOracle:

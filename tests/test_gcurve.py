@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from targetcost.errors import CalibrationError, DomainError, RangeError, UsageError
+from targetcost.errors import CalibrationError, DomainError, UsageError
 from targetcost.normals import Params, std_normal_cdf, std_normal_quantile
 from targetcost.ode import (DEFAULT_EPSILON, GRID_DZ, GCurve, _newton, _snapped,
                             chord_lower_bound, curve_invariant_report, eval_g,
-                            eval_g_value, integrate_g, load_curve,
-                            ode_residuals, save_curve, shoot, value_function)
+                            eval_g_value, load_curve, ode_residuals,
+                            save_curve, shoot, value_function)
 from targetcost.walk import dp_value
+
+from helpers import reference_ivp
 
 # Values the calibration must reproduce, pinned from two independent
 # routes: the random-walk program (midpoint value 0.8687 +- 0.001 after
@@ -35,41 +37,46 @@ class TestIntegrate:
         # The initial-value route from the solved midpoint pair retraces the
         # whole solved curve, values and slopes, at every node.
         for p, res in shots_all.items():
-            curve = integrate_g(p, res.g_mid, res.gamma)
-            assert abs(curve.gs[0] - 1.0) <= 1e-3
-            assert abs(curve.gs[-1]) <= 1e-3
-            assert np.max(np.abs(curve.gs - res.curve.gs)) <= 1e-9, p
-            assert np.max(np.abs(curve.gzs - res.curve.gzs)) <= 1e-9, p
+            gs, gzs, exit_ = reference_ivp(p, res.g_mid, res.gamma)
+            assert exit_ is None, p
+            assert abs(gs[0] - 1.0) <= 1e-3
+            assert abs(gs[-1]) <= 1e-3
+            assert np.max(np.abs(gs - res.curve.gs)) <= 1e-9, p
+            assert np.max(np.abs(gzs - res.curve.gzs)) <= 1e-9, p
 
     def test_reported_rounded_pair_misses_boundaries(self):
         # The historically reported round pair (0.88, -0.21) integrates
         # cleanly but lands far from both boundary targets; the calibrated
         # pair near (0.8687, -0.5073) is the one that meets them.
-        curve = integrate_g(2.0, 0.88, -0.21)
-        assert curve.gs[0] == pytest.approx(0.4229, abs=0.02)
-        assert curve.gs[-1] == pytest.approx(0.0925, abs=0.02)
+        gs, _, exit_ = reference_ivp(2.0, 0.88, -0.21)
+        assert exit_ is None
+        assert gs[0] == pytest.approx(0.4229, abs=0.02)
+        assert gs[-1] == pytest.approx(0.0925, abs=0.02)
 
     def test_far_too_steep_slope_range_errors_on_left(self):
-        with pytest.raises(RangeError) as err:
-            integrate_g(2.0, 0.88, -5.0)
-        assert err.value.branch == "left"
-        assert err.value.side == "high"
-        assert err.value.y_fail < 0.5
+        # The solution leaves the band [-0.01, 1.01] on the left branch,
+        # through its upper bound, below the midpoint.
+        _, _, (branch, side, z_fail) = reference_ivp(2.0, 0.88, -5.0)
+        assert branch == "left"
+        assert side == "high"
+        assert std_normal_cdf(z_fail) < 0.5
 
     def test_residual_contract(self, shots_all):
         for res in shots_all.values():
             assert np.max(ode_residuals(res.curve)) <= 1e-7
 
     @pytest.mark.parametrize("kwargs", [
-        dict(p=1.0, g_mid=0.5, gamma=-0.2),
-        dict(p=2.0, g_mid=0.0, gamma=-0.2),
-        dict(p=2.0, g_mid=1.0, gamma=-0.2),
-        dict(p=2.0, g_mid=0.5, gamma=-0.2, epsilon=0.5),
-        dict(p=2.0, g_mid=0.5, gamma=float("nan")),
+        dict(p=float("nan")),
+        dict(p=float("inf")),
+        dict(p=2.0, epsilon=0.0),
+        dict(p=2.0, boundary_tol=0.0),
+        dict(p=2.0, boundary_tol=0.5),
     ])
     def test_input_validation(self, kwargs):
+        # the kernel solve's own checks; TestShoot covers p = 1 and a wide
+        # epsilon
         with pytest.raises(DomainError):
-            integrate_g(**kwargs)
+            shoot(**kwargs)
 
 
 class TestShoot:

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targetcost.errors import DomainError
-from targetcost.normals import (CDF_MAX, CDF_MIN, Params, _erfc, h,
-                                martingale_level, std_normal_cdf,
-                                std_normal_quantile)
+from targetcost.normals import (CDF_MAX, CDF_MIN, Params, _erfc,
+                                std_normal_cdf, std_normal_quantile)
 
 from helpers import cdf_by_quadrature
 
@@ -106,50 +105,28 @@ class TestQuantile:
             assert std_normal_cdf(z) == pytest.approx(q, abs=1e-10)
 
 
-class TestH:
-    def test_value_at_half(self):
-        assert h(0.5) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
-
-    def test_symmetry(self):
-        for y in (0.01, 0.2, 0.37, 0.49):
-            assert h(y) == pytest.approx(h(1.0 - y), rel=1e-11)
-
-    def test_positive_and_peaked_at_half(self):
-        grid = np.linspace(0.001, 0.999, 999)
-        vals = h(grid)
-        assert np.all(vals > 0)
-        assert np.argmax(vals) == len(grid) // 2
-
-    def test_endpoint_decay(self):
-        assert h(1e-6) < 1e-10
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
-    def test_domain_errors(self, bad):
-        with pytest.raises(DomainError):
-            h(bad)
+def _level(t, w, T, c):
+    """The conditional probability that W_T ends below c, given W_t = w:
+    the level the simulator feeds to the kernel."""
+    return std_normal_cdf((c - w) / math.sqrt(T - t))
 
 
 class TestMartingaleLevel:
     def test_at_origin(self):
-        assert martingale_level(0.0, 0.0, 1.0, 0.0) == 0.5
+        assert _level(0.0, 0.0, 1.0, 0.0) == 0.5
 
     def test_composition_with_cdf(self):
-        got = martingale_level(0.0, 0.0, 4.0, 2.0)
+        got = _level(0.0, 0.0, 4.0, 2.0)
         assert got == pytest.approx(cdf_by_quadrature(1.0), abs=1e-12)
 
     def test_monotone_decreasing_in_w(self):
         w = np.linspace(-5.0, 5.0, 101)
-        vals = martingale_level(0.3, w, 1.0, 0.0)
+        vals = _level(0.3, w, 1.0, 0.0)
         assert np.all(np.diff(vals) < 0)
 
     def test_limits_stay_interior(self):
-        assert martingale_level(0.5, 1e6, 1.0, 0.0) == CDF_MIN
-        assert martingale_level(0.5, -1e6, 1.0, 0.0) == CDF_MAX
-
-    @pytest.mark.parametrize("t", [1.0, 1.5, -0.1])
-    def test_time_domain_errors(self, t):
-        with pytest.raises(DomainError):
-            martingale_level(t, 0.0, 1.0, 0.0)
+        assert _level(0.5, 1e6, 1.0, 0.0) == CDF_MIN
+        assert _level(0.5, -1e6, 1.0, 0.0) == CDF_MAX
 
     def test_empirical_martingale_increment(self):
         # one-step martingale property along simulated Brownian paths
@@ -158,8 +135,8 @@ class TestMartingaleLevel:
         t, dt, T, c = 0.3, 0.2, 1.0, 0.2
         w_t = rng.normal(0.0, math.sqrt(t), n)
         w_next = w_t + rng.normal(0.0, math.sqrt(dt), n)
-        m_t = martingale_level(t, w_t, T, c)
-        m_next = martingale_level(t + dt, w_next, T, c)
+        m_t = _level(t, w_t, T, c)
+        m_next = _level(t + dt, w_next, T, c)
         diff = m_next - m_t
         stderr = diff.std(ddof=1) / math.sqrt(n)
         assert abs(diff.mean()) <= 3.0 * stderr

@@ -7,31 +7,32 @@ import pytest
 from targetcost.errors import DomainError, UsageError
 from targetcost.normals import Params
 from targetcost.sim import (BLOCK, bsde_residual, dump_path_csv,
-                            exponential_form_control, mc_cost_estimate,
-                            nth_path, run_optimal_control, simulate_brownian,
-                            terminal_blowup_medians, _block_increments)
+                            mc_cost_estimate, nth_path, run_optimal_control,
+                            _block_increments)
 from targetcost.walk import dp_value
+
+from helpers import exponential_form_control, terminal_blowup_medians
 
 PARAMS = Params(2.0, 1.0, 0.0, 0.0)
 
 
 class TestBrownian:
     def test_determinism(self):
-        a = simulate_brownian(1.0, 64, 7)
-        b = simulate_brownian(1.0, 64, 7)
+        a = nth_path(1.0, 64, 7, 0)
+        b = nth_path(1.0, 64, 7, 0)
         assert np.array_equal(a.W, b.W)
-        c = simulate_brownian(1.0, 64, 8)
+        c = nth_path(1.0, 64, 8, 0)
         assert not np.array_equal(a.W, c.W)
 
     def test_shapes(self):
-        path = simulate_brownian(2.0, 2, 1)
+        path = nth_path(2.0, 2, 1, 0)
         assert len(path.W) == 3
         assert len(path.dW) == 2
         assert path.W[0] == 0.0
         assert path.times[-1] == 2.0
 
     def test_increment_scale(self):
-        path = simulate_brownian(4.0, 100, 3)
+        path = nth_path(4.0, 100, 3, 0)
         assert np.allclose(np.diff(path.W), path.dW)
 
     def test_terminal_variance(self):
@@ -58,14 +59,14 @@ class TestBrownian:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            simulate_brownian(1.0, 1, 0)
+            nth_path(1.0, 1, 0, 0)
         with pytest.raises(DomainError):
-            simulate_brownian(0.0, 10, 0)
+            nth_path(0.0, 10, 0, 0)
 
 
 class TestOptimalControl:
     def test_state_one_means_idle(self, curve_p2):
-        path = simulate_brownian(1.0, 100, 2)
+        path = nth_path(1.0, 100, 2, 0)
         run_optimal_control(curve_p2, Params(2.0, 1.0, 1.0, 0.0), path)
         assert np.all(path.u == 0.0)
         assert path.cost[-1] == 0.0
@@ -74,7 +75,7 @@ class TestOptimalControl:
     def test_feasibility_both_classes(self, curve_p2):
         seen = set()
         for seed in range(40):
-            path = simulate_brownian(1.0, 200, seed)
+            path = nth_path(1.0, 200, seed, 0)
             run_optimal_control(curve_p2, PARAMS, path)
             binding = path.W[-1] > 0.0
             seen.add(binding)
@@ -91,7 +92,7 @@ class TestOptimalControl:
 
     def test_closed_form_representation_agrees(self, curve_p2):
         for seed in (1, 5, 11):
-            path = simulate_brownian(1.0, 400, seed)
+            path = nth_path(1.0, 400, seed, 0)
             run_optimal_control(curve_p2, PARAMS, path)
             u_exp = exponential_form_control(curve_p2, PARAMS, path)
             ref = path.u[:len(u_exp) - 1]
@@ -99,17 +100,17 @@ class TestOptimalControl:
             assert np.max(rel) <= 1e-6
 
     def test_horizon_mismatch(self, curve_p2):
-        path = simulate_brownian(2.0, 50, 1)
+        path = nth_path(2.0, 50, 1, 0)
         with pytest.raises(UsageError):
             run_optimal_control(curve_p2, PARAMS, path)
 
     def test_p_mismatch(self, curve_p2):
-        path = simulate_brownian(1.0, 50, 1)
+        path = nth_path(1.0, 50, 1, 0)
         with pytest.raises(UsageError):
             run_optimal_control(curve_p2, Params(3.0, 1.0, 0.0, 0.0), path)
 
     def test_csv_dump(self, curve_p2):
-        path = simulate_brownian(1.0, 16, 4)
+        path = nth_path(1.0, 16, 4, 0)
         run_optimal_control(curve_p2, PARAMS, path)
         buf = io.StringIO()
         dump_path_csv(path, buf)
@@ -118,7 +119,7 @@ class TestOptimalControl:
         assert len(lines) == 18
 
     def test_dump_requires_filled_path(self):
-        path = simulate_brownian(1.0, 16, 4)
+        path = nth_path(1.0, 16, 4, 0)
         with pytest.raises(UsageError):
             dump_path_csv(path, io.StringIO())
 
@@ -170,6 +171,19 @@ class TestMcCost:
             se_d = float(diff.std(ddof=1)) / math.sqrt(len(diff))
             assert viol == 0
             assert gap > 3.0 * se_d
+
+
+class TestMcArguments:
+    @pytest.mark.parametrize("n_paths, n_steps",
+                             [(10, 0), (10, 2.5), (10, 1), (0, 10), (2.0, 10)])
+    def test_mc_cost_estimate_rejects(self, curve_p2, n_paths, n_steps):
+        with pytest.raises(DomainError):
+            mc_cost_estimate(curve_p2, PARAMS, n_paths, n_steps, 1)
+
+    @pytest.mark.parametrize("n_paths, n_steps", [(0, 100), (10, 0), (10, 2.5)])
+    def test_bsde_residual_rejects(self, curve_p2, n_paths, n_steps):
+        with pytest.raises(DomainError):
+            bsde_residual(curve_p2, 2.0, 1.0, 0.0, n_paths, n_steps, 0.3, 1)
 
 
 class TestBsdeResidual:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from targetcost.errors import DomainError, ResourceError
 from targetcost.normals import std_normal_cdf, std_normal_quantile
-from targetcost.walk import (INFEASIBLE, dp_g_profile, dp_table, dp_value,
-                             inner_min, refinement_gap, save_profile)
+from targetcost.walk import (_expand, _first_binding, _sweep, dp_g_profile,
+                             dp_value, inner_min, refinement_gap, save_profile)
 
 from helpers import reference_dp_value, scan_min_split
 
@@ -23,7 +23,7 @@ class TestInnerMin:
         assert inner_min(1.0, 0.0, 2.0) == (0.0, 0.0)
 
     def test_infinite_continuation_forces_jump(self):
-        assert inner_min(3.0, INFEASIBLE, 2.0) == (1.0, 3.0)
+        assert inner_min(3.0, math.inf, 2.0) == (1.0, 3.0)
 
     def test_reference_point_vs_scan(self):
         a, cost = inner_min(1.0, 3.0, 2.0)
@@ -119,8 +119,6 @@ class TestDpValue:
         message = f"{name} must be a finite number"
         with pytest.raises(DomainError, match=message):
             dp_value(**args)
-        with pytest.raises(DomainError, match=message):
-            dp_table(**args)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -162,26 +160,33 @@ class TestBand:
             assert value == (n * (T / n)) ** (1.0 - p)
 
 
+def _layers(n, T, c, p):
+    """Every layer of the oracle's sweep in full, root layer first."""
+    dt = T / n
+    J = _first_binding(n, dt, c, "geq")
+    layers = [_expand(n + 1 - m, *band)
+              for m, band in enumerate(_sweep(n + 1, J, n, dt, p), start=1)]
+    return layers[::-1]
+
+
 class TestOracleTable:
     def test_monotone_in_position(self):
-        table = dp_table(301, 1.0, 0.1, 2.0)
-        assert table.monotone_in_position() <= 1e-12
+        # a higher walk position leaves less room: it never costs less
+        for layer in _layers(301, 1.0, 0.1, 2.0):
+            assert np.all(np.diff(layer) >= -1e-12)
 
     def test_terminal_layer_sentinels(self):
-        table = dp_table(10, 1.0, 0.0, 2.0)
-        terminal = table.psi[-1]
+        # the first binding index splits the terminal walk values at c
+        J = _first_binding(10, 0.1, 0.0, "geq")
         w = (2.0 * np.arange(11) - 10) * math.sqrt(0.1)
-        assert np.all(np.isinf(terminal[w >= 0.0]))
-        assert np.all(terminal[w < 0.0] == 0.0)
+        assert np.all(w[J:] >= 0.0) and np.all(w[:J] < 0.0)
 
     def test_root_matches_dp_value(self):
-        table = dp_table(200, 1.0, 0.3, 2.0)
-        assert table.psi[0][0] == dp_value(200, 1.0, 0.3, 2.0)
+        assert _layers(200, 1.0, 0.3, 2.0)[0][0] == dp_value(200, 1.0, 0.3, 2.0)
 
     def test_interior_levels_are_finite(self):
-        table = dp_table(50, 1.0, 0.0, 2.0)
-        for level in table.psi[:-1]:
-            assert np.all(np.isfinite(level))
+        for layer in _layers(50, 1.0, 0.0, 2.0):
+            assert np.all(np.isfinite(layer))
 
 
 class TestProfile:
