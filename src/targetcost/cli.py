@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (CalibrationError, ResourceError, TargetCostError,
                      UsageError)
-from .normals import Params, std_normal_cdf
+from .normals import CDF_MIN, Params, std_normal_cdf
 from .ode import (curve_invariant_report, eval_g, load_curve, save_curve,
                   shoot, value_function)
 from .sim import (bsde_residual, dump_path_csv, mc_cost_estimate, nth_path,
@@ -160,8 +160,7 @@ def cmd_simulate(args):
     curve, _ = _load_checked_curve(args.curve, args.p)
     params = Params(curve.p, args.T, args.x, args.c)
     mean, stderr, violations = mc_cost_estimate(
-        curve, params, args.n_paths, args.n_steps, args.seed,
-        threads=args.threads)
+        curve, params, args.n_paths, args.n_steps, args.seed)
     summary = {"params": {"p": params.p, "T": params.T, "x": params.x,
                           "c": params.c},
                "n_paths": args.n_paths, "n_steps": args.n_steps,
@@ -186,8 +185,7 @@ def cmd_simulate(args):
 def cmd_bsde_check(args):
     curve, _ = _load_checked_curve(args.curve, args.p)
     stats = bsde_residual(curve, curve.p, args.T, args.c, args.n_paths,
-                          args.n_steps, args.delta, args.seed,
-                          threads=args.threads)
+                          args.n_steps, args.delta, args.seed)
     payload = {"n_paths": stats.n_paths, "n_steps": stats.n_steps,
                "delta": stats.delta, "mean_residual": stats.mean_residual,
                "stderr": stats.stderr, "rms_residual": stats.rms_residual,
@@ -197,12 +195,15 @@ def cmd_bsde_check(args):
 
 
 def cmd_expcase(args):
+    try:  # every input is checked before the first line is printed
+        ns = [int(v) for v in args.n_list.split(",")] if args.n_list else [4, 8, 16, 32, 64]
+    except ValueError as exc:
+        raise UsageError(f"--n-list expects comma-separated integers, got {args.n_list!r}") from exc
+    witnesses, flags = expcase.witness_sequence(ns, args.T, args.c)
     value = expcase.exp_value(args.T, args.x, args.lam)
     control = expcase.exp_optimal_control(args.T, args.x)
     print(f"value = {value:.17g}")
     print(f"optimal_rate = {control:.17g}")
-    ns = [int(v) for v in args.n_list.split(",")] if args.n_list else [4, 8, 16, 32, 64]
-    witnesses, flags = expcase.witness_sequence(ns, args.T, args.c)
     out = args.out or "witnesses.csv"
     expcase.save_witnesses(witnesses, args.T, args.x, args.lam, out)
     final_gap = expcase.duality_gap(args.T, args.x, args.lam, witnesses[-1])
@@ -218,7 +219,7 @@ def cmd_verify(args):
     if args.perturb_g:
         g_bump = (args.perturb_g, 0.3, 0.7)
     report = verify.run_verification(args.budget, seed=args.seed,
-                                     threads=args.threads, g_bump=g_bump)
+                                     g_bump=g_bump)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
@@ -279,7 +280,6 @@ def build_parser():
         ("--n-steps", dict(type=int, default=2000)),
         ("--n-paths", dict(type=int, default=10000)),
         ("--seed", dict(type=int, default=None)),
-        ("--threads", dict(type=int, default=0)),
         ("--dump-paths", dict(default="", help="directory for per-path CSVs")),
         ("--dump-count", dict(type=int, default=1)),
         ("--summary-out", dict(default="", help="summary JSON path")),
@@ -293,7 +293,6 @@ def build_parser():
         ("--n-paths", dict(type=int, default=64)),
         ("--delta", dict(type=float, default=0.45)),
         ("--seed", dict(type=int, default=None)),
-        ("--threads", dict(type=int, default=0)),
     ])
     add("expcase", cmd_expcase, [
         ("--T", dict(type=_positive("--T"), default=1.0)),
@@ -306,7 +305,6 @@ def build_parser():
     add("verify", cmd_verify, [
         ("--budget", dict(choices=("full", "quick"), default="full")),
         ("--seed", dict(type=int, default=None)),
-        ("--threads", dict(type=int, default=0)),
         ("--report", dict(default="", help="JSON report path")),
         ("--perturb-g", dict(type=float, default=0.0,
                              help="test hook: bump the kernel before the "
@@ -318,8 +316,8 @@ def build_parser():
 def _validate(args):
     if getattr(args, "p", None) is not None and args.p <= 1.0:
         raise UsageError("--p must be > 1")
-    if getattr(args, "epsilon", None) is not None and not (0.0 < args.epsilon < 0.1):
-        raise UsageError("--epsilon must lie in (0, 0.1)")
+    if getattr(args, "epsilon", None) is not None and not (CDF_MIN <= args.epsilon < 0.1):
+        raise UsageError(f"--epsilon must lie in [{CDF_MIN:.4g}, 0.1)")
     if getattr(args, "boundary_tol", None) is not None and not (0.0 < args.boundary_tol < 0.5):
         raise UsageError("--boundary-tol must lie in (0, 0.5)")
     if getattr(args, "x", None) is not None and args.command != "expcase" \
@@ -368,8 +366,6 @@ def main(argv=None):
             args = parser.parse_args(argv[:1] + file_flags + argv[1:])
         if "seed" in vars(args) and args.seed is None:
             args.seed = _default_seed()
-        if getattr(args, "threads", None) == 0:
-            args.threads = os.cpu_count() or 1
         for key in ("out", "profile", "dump_paths", "summary_out", "report"):
             if getattr(args, key, None) == "":
                 setattr(args, key, None)

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CalibrationError, DomainError, UsageError
-from .normals import Params, std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .normals import CDF_MIN, Params, std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 DEFAULT_EPSILON = 1e-4
 DEFAULT_BOUNDARY_TOL = 1e-3
@@ -221,8 +221,8 @@ def shoot(p, epsilon=DEFAULT_EPSILON, boundary_tol=DEFAULT_BOUNDARY_TOL):
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
         raise DomainError("p must be a finite number > 1")
-    if not (0.0 < epsilon < 0.1):
-        raise DomainError("epsilon must lie in (0, 0.1)")
+    if not (CDF_MIN <= epsilon < 0.1):
+        raise DomainError(f"epsilon must lie in [{CDF_MIN:.4g}, 0.1)")
     if not (0.0 < boundary_tol < 0.5):
         raise DomainError("boundary_tol must lie in (0, 0.5)")
     z_edge = -std_normal_quantile(epsilon)

@@ -14,16 +14,15 @@ expectation as the grid refines).
 
 Randomness: paths are grouped into fixed blocks of 4096; block b of master
 seed s draws its increment matrix from Philox keyed by the counter pair
-(s, b), and path i occupies row i mod 4096 of its block.  The block size is
-a constant, so results never depend on thread layout, and any path can be
-regenerated from (seed, index) alone.  Aggregation runs in path order with
-exact summation.
+(s, b), and path i occupies row i mod 4096 of its block, so any path can be
+regenerated from (seed, index) alone.  Blocks run serially, one after
+another, so only one block's arrays are alive at a time; aggregation runs
+in path order with exact summation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -130,8 +129,7 @@ def _gain(curve, p, zscore, transform=None):
     return gval if expo == 1.0 else gval ** expo
 
 
-def _drive_block(curve, params, times, W, *, record=False, gain_transform=None,
-                 include_final_step=True):
+def _drive_block(curve, params, times, W, *, record=False, gain_transform=None):
     """Run the feedback control on a block of paths (rows of W).
 
     Returns (cost, X_T, violations) plus, when record is set, the full
@@ -173,8 +171,7 @@ def _drive_block(curve, params, times, W, *, record=False, gain_transform=None,
         u_rec[:, n - 1] = u_last
         X_rec[:, n - 1] = 1.0 - omx
         c_rec[:, n - 1] = cost
-    if include_final_step:
-        cost += u_last ** p * delta
+    cost += u_last ** p * delta
     X_T = np.where(bind, 1.0, 1.0 - omx)
 
     violations = int(np.sum((X_T + 1e-12 < bind.astype(float))
@@ -188,42 +185,32 @@ def _drive_block(curve, params, times, W, *, record=False, gain_transform=None,
     return cost, X_T, violations, (M_rec, u_rec, X_rec, c_rec)
 
 
-def run_optimal_control(curve, params, path, *, gain_transform=None):
+def run_optimal_control(curve, params, path):
     """Fill a skeleton path with the feedback control, state and cost."""
     params = curve.check_params(params)
     if abs(path.times[-1] - params.T) > 1e-12 * max(1.0, params.T):
         raise UsageError(
             f"path horizon {path.times[-1]} does not match params.T={params.T}")
     _, _, violations, rec = _drive_block(
-        curve, params, path.times, path.W[None, :], record=True,
-        gain_transform=gain_transform)
+        curve, params, path.times, path.W[None, :], record=True)
     M_rec, u_rec, X_rec, c_rec = rec
     path.M, path.u, path.X, path.cost = M_rec[0], u_rec[0], X_rec[0], c_rec[0]
     return path
 
 
-def _block_ranges(n_paths):
-    return [(i, min(i + BLOCK, n_paths)) for i in range(0, n_paths, BLOCK)]
-
-
-def _run_blocks(worker, n_paths, threads):
-    ranges = _block_ranges(n_paths)
-    if threads is None or threads <= 1 or len(ranges) == 1:
-        return [worker(i0, i1) for i0, i1 in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, i0, i1) for i0, i1 in ranges]
-        return [f.result() for f in futures]  # in submit order: path order
+def _run_blocks(worker, n_paths):
+    return [worker(i, min(i + BLOCK, n_paths)) for i in range(0, n_paths, BLOCK)]
 
 
 def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
-                     threads=None, include_final_step=True,
                      gain_transform=None, return_costs=False):
     """Sample mean and standard error of the per-path realized cost.
 
-    Deterministic given the seed regardless of thread count: per-path
-    streams are derived by counter and block results are reduced in path
-    order with exact summation.
-    Also returns the feasibility violation count as third element.
+    Deterministic given the seed: path i is row i mod BLOCK of stream block
+    i // BLOCK, the blocks run one after another, and their costs are
+    reduced in path order with exact summation.
+    Also returns the feasibility violation count as third element, and the
+    per-path costs in path order as a fourth when return_costs is set.
     """
     params = curve.check_params(params)
     _check_mc(params.T, n_steps, n_paths)
@@ -233,11 +220,10 @@ def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
     def worker(i0, i1):
         _dW, W = _brownian(seed, i0, i1, n_steps, sqrt_dt)
         cost, _xt, violations, _ = _drive_block(
-            curve, params, times, W, gain_transform=gain_transform,
-            include_final_step=include_final_step)
+            curve, params, times, W, gain_transform=gain_transform)
         return cost, violations
 
-    results = _run_blocks(worker, n_paths, threads)
+    results = _run_blocks(worker, n_paths)
     costs = np.concatenate([r[0] for r in results])
     violations = sum(r[1] for r in results)
     mean = math.fsum(costs) / n_paths
@@ -251,7 +237,7 @@ def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
     return mean, stderr, violations
 
 
-def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed, *, threads=None):
+def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
     """Per-step Euler residuals of the explicit backward pair.
 
     Y_t = g(M_t) / (T-t)^{p-1} and Z_t = -g_z / (T-t)^{p-1/2}, with g and
@@ -293,7 +279,7 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed, *, threads=None
             y_k, z_k = y_next, z_next
         return path_sum, sq_sum, z_min
 
-    results = _run_blocks(worker, n_paths, threads)
+    results = _run_blocks(worker, n_paths)
     per_path_mean = np.concatenate([r[0] for r in results]) / k_end
     sq_total = math.fsum(r[1] for r in results)
     z_min = min(r[2] for r in results)

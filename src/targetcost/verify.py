@@ -113,7 +113,7 @@ def suite_scaling(budget, results):
     return ok, details
 
 
-def suite_mc_optimality(budget, results, seed, threads):
+def suite_mc_optimality(budget, results, seed):
     res = results.setdefault(2.0, shoot(2.0))
     params = Params(2.0, 1.0, 0.0, 0.0)
     if budget == "full":
@@ -123,15 +123,14 @@ def suite_mc_optimality(budget, results, seed, threads):
         n_paths, n_steps = 20_000, 500
         etas = (GAIN_BUMP,)
     mean, se, viol, costs = mc_cost_estimate(
-        res.curve, params, n_paths, n_steps, seed, threads=threads,
-        return_costs=True)
+        res.curve, params, n_paths, n_steps, seed, return_costs=True)
     ok = viol == 0 and abs(mean - VALUE_TARGET) <= VALUE_TOL + 3.0 * se
     details = {"mean": mean, "stderr": se, "violations": viol,
                "target": VALUE_TARGET}
     lo, hi = BUMP_WINDOW
     for eta in etas:
         _m, _s, viol_p, costs_p = mc_cost_estimate(
-            res.curve, params, n_paths, n_steps, seed, threads=threads,
+            res.curve, params, n_paths, n_steps, seed,
             gain_transform=_bump_transform(eta, lo, hi), return_costs=True)
         diff = costs_p - costs
         gap = float(np.mean(diff))
@@ -141,7 +140,7 @@ def suite_mc_optimality(budget, results, seed, threads):
     return ok, details
 
 
-def suite_bsde(budget, results, seed, threads, g_bump=None):
+def suite_bsde(budget, results, seed, g_bump=None):
     res = results.setdefault(2.0, shoot(2.0))
     curve = res.curve
     if g_bump is not None:
@@ -150,8 +149,7 @@ def suite_bsde(budget, results, seed, threads, g_bump=None):
     stats = {}
     ok = True
     for n_steps in sizes:
-        st = bsde_residual(curve, 2.0, 1.0, 0.0, 64, n_steps, 0.45, seed,
-                           threads=threads)
+        st = bsde_residual(curve, 2.0, 1.0, 0.0, 64, n_steps, 0.45, seed)
         stats[n_steps] = st
         ok &= abs(st.mean_residual) <= 3.0 * st.stderr
         ok &= st.z_min >= 0.0
@@ -211,9 +209,10 @@ def suite_exp_duality(budget, results, seed):
                 "final_mass": ws[-1].mass, "final_entropy": ws[-1].entropy}
 
 
-def run_verification(budget="full", *, seed=DEFAULT_SEED, threads=None,
-                     g_bump=None):
+def run_verification(budget="full", *, seed=DEFAULT_SEED, g_bump=None):
     """Run every suite; returns a report dict with per-suite pass flags.
+    Its Monte Carlo suites run serially in path order, so the report, its
+    timings aside, depends only on budget, seed and g_bump.
 
     g_bump, when given as (amplitude, level_lo, level_hi), perturbs the
     curve fed to the backward-identity suite; it exists so tests can check
@@ -229,11 +228,10 @@ def run_verification(budget="full", *, seed=DEFAULT_SEED, threads=None,
         ("holder_inequality", lambda: suite_holder(budget, results)),
         ("oracle_agreement", lambda: suite_oracle_agreement(budget, results)),
         ("scaling_law", lambda: suite_scaling(budget, results)),
-        ("bsde_residual", lambda: suite_bsde(budget, results, seed, threads,
+        ("bsde_residual", lambda: suite_bsde(budget, results, seed,
                                              g_bump=g_bump)),
         ("exp_duality", lambda: suite_exp_duality(budget, results, seed)),
-        ("mc_optimality", lambda: suite_mc_optimality(budget, results, seed,
-                                                      threads)),
+        ("mc_optimality", lambda: suite_mc_optimality(budget, results, seed)),
     ]
     all_ok = True
     for name, fn in runs:

@@ -30,11 +30,16 @@ class TestCalibrate:
         assert 0.5 ** 3 < sidecar["g_mid"] < 1.0
 
     def test_epsilon_validation(self, tmp_path):
-        proc = run_cli(["calibrate", "--p", "2", "--epsilon", "0.5"], cwd=tmp_path)
-        assert proc.returncode == 2
-        assert "--epsilon" in proc.stderr
+        # Below normals.CDF_MIN (6e-16) the stored levels would clamp, and
+        # the reloaded curve's quantile grid would no longer be uniform.
+        for epsilon in ("0.5", "6e-16"):
+            proc = run_cli(["calibrate", "--p", "2", "--epsilon", epsilon],
+                           cwd=tmp_path)
+            assert proc.returncode == 2
+            assert "--epsilon" in proc.stderr
+        assert not (tmp_path / "gcurve_p2.csv").exists()
 
-    @pytest.mark.parametrize("epsilon", ["1e-6", "1e-10"])
+    @pytest.mark.parametrize("epsilon", ["1e-6", "1e-10", "7e-16"])
     def test_small_epsilon_curve_evaluates(self, tmp_path, epsilon):
         # Near y = 1 - epsilon the stored levels move the quantile grid by
         # about ulp(1)/pdf(z) in z (1e-11 at 1e-6); the reloaded curve must
@@ -195,14 +200,18 @@ class TestSimulate:
         assert via_flag.returncode == 0, via_flag.stderr
         assert json.loads(via_env.stdout) == json.loads(via_flag.stdout)
 
-    def test_thread_count_does_not_change_results(self, workdir):
-        args = ["simulate", "--curve", "gcurve_p2.csv", "--n-paths", "5000",
-                "--n-steps", "64", "--seed", "4"]
-        one = run_cli(args + ["--threads", "1"], cwd=workdir)
-        four = run_cli(args + ["--threads", "4"], cwd=workdir)
-        assert one.returncode == 0, one.stderr
-        assert four.returncode == 0, four.stderr
-        assert json.loads(one.stdout) == json.loads(four.stdout)
+    def test_threads_is_not_an_option(self, workdir, tmp_path):
+        # Monte Carlo runs serially; neither the flag nor a config key exists.
+        args = ["simulate", "--curve", "gcurve_p2.csv", "--n-paths", "64",
+                "--n-steps", "50"]
+        proc = run_cli(args + ["--threads", "2"], cwd=workdir)
+        assert proc.returncode == 2
+        assert "--threads" in proc.stderr
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("threads = 2\n")
+        proc = run_cli(args + ["--config", str(cfg)], cwd=workdir)
+        assert proc.returncode == 2
+        assert "--threads" in proc.stderr
 
 
 class TestBsdeCheck:
@@ -240,6 +249,18 @@ class TestExpcase:
         proc = run_cli(["expcase", "--n-list", "4,8", "--out", "w.csv"],
                        cwd=tmp_path)
         assert len((tmp_path / "w.csv").read_text().strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("n_list, message", [
+        ("4.5", "--n-list"), ("4,,8", "--n-list"), ("0,4", "n must be")])
+    def test_bad_sequence_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                         n_list, message):
+        # The whole list is checked before the first line is printed.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["expcase", "--n-list", n_list]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+        assert not (tmp_path / "witnesses.csv").exists()
 
     def test_sequence_from_two(self, tmp_path):
         # n = 2 puts the entropy antiderivative on its logarithmic branch

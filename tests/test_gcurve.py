@@ -118,6 +118,9 @@ class TestShoot:
             shoot(1.0)
         with pytest.raises(DomainError):
             shoot(2.0, epsilon=0.3)
+        # below normals.CDF_MIN the stored levels would clamp
+        with pytest.raises(DomainError, match="epsilon"):
+            shoot(2.0, epsilon=6e-16)
 
     def test_parallel_calibration_matches_sequential(self, shots_all):
         from concurrent.futures import ThreadPoolExecutor

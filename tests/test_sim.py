@@ -135,24 +135,32 @@ class TestMcCost:
             curve_p2, Params(2.0, 1.0, 1.0, 0.0), 500, 50, 1)
         assert mean == 0.0 and se == 0.0 and viol == 0
 
-    def test_determinism_and_thread_invariance(self, curve_p2):
-        one = mc_cost_estimate(curve_p2, PARAMS, 3 * BLOCK // 2, 100, 5, threads=1)
-        two = mc_cost_estimate(curve_p2, PARAMS, 3 * BLOCK // 2, 100, 5, threads=3)
+    def test_determinism(self, curve_p2):
+        one = mc_cost_estimate(curve_p2, PARAMS, 3 * BLOCK // 2, 100, 5)
+        two = mc_cost_estimate(curve_p2, PARAMS, 3 * BLOCK // 2, 100, 5)
         assert one == two
-        three = mc_cost_estimate(curve_p2, PARAMS, 3 * BLOCK // 2, 100, 5)
-        assert three == one
+
+    def test_path_layout_across_blocks(self, curve_p2):
+        # Path i of the estimate is the path nth_path regenerates from
+        # (seed, i), on either side of a block boundary, and a shorter run
+        # is a prefix of a longer one.
+        n_steps, seed = 50, 11
+        *_, costs = mc_cost_estimate(curve_p2, PARAMS, BLOCK + 10, n_steps,
+                                     seed, return_costs=True)
+        assert len(costs) == BLOCK + 10
+        for i in (0, BLOCK - 1, BLOCK, BLOCK + 9):
+            path = run_optimal_control(curve_p2, PARAMS,
+                                       nth_path(1.0, n_steps, seed, i))
+            assert costs[i] == pytest.approx(path.cost[-1], rel=1e-12, abs=0.0)
+        *_, head = mc_cost_estimate(curve_p2, PARAMS, 7, n_steps, seed,
+                                    return_costs=True)
+        np.testing.assert_allclose(head, costs[:7], rtol=1e-12, atol=0.0)
 
     def test_horizon_scaling(self, curve_p2):
         m1, se1, _ = mc_cost_estimate(curve_p2, PARAMS, 20_000, 400, 13)
         m4, se4, _ = mc_cost_estimate(
             curve_p2, Params(2.0, 4.0, 0.0, 0.0), 20_000, 400, 14)
         assert abs(m4 - m1 / 4.0) <= 0.01 + 3.0 * (se4 + se1 / 4.0)
-
-    def test_final_step_flag(self, curve_p2):
-        full, _, _ = mc_cost_estimate(curve_p2, PARAMS, 2000, 100, 3)
-        trimmed, _, _ = mc_cost_estimate(curve_p2, PARAMS, 2000, 100, 3,
-                                         include_final_step=False)
-        assert trimmed < full
 
     def test_perturbed_gain_costs_more(self, curve_p2):
         def bump(eta):
@@ -203,11 +211,6 @@ class TestBsdeResidual:
         m2000 = bsde_residual(curve_p2, 2.0, 1.0, 0.0, 2000, 2000, 0.25, 3).mean_residual
         assert m500 > 0 and m2000 > 0
         assert m500 / m2000 == pytest.approx(16.0, rel=0.5)
-
-    def test_thread_invariance(self, curve_p2):
-        a = bsde_residual(curve_p2, 2.0, 1.0, 0.0, BLOCK + 10, 64, 0.3, 5, threads=1)
-        b = bsde_residual(curve_p2, 2.0, 1.0, 0.0, BLOCK + 10, 64, 0.3, 5, threads=4)
-        assert a == b
 
     def test_terminal_blowup_classification(self, curve_p2):
         med = terminal_blowup_medians(curve_p2, 2.0, 1.0, 0.0, 4000, 4000,
