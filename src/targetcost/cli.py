@@ -329,6 +329,8 @@ def _validate(args):
         raise UsageError("--n-steps must be >= 2")
     if getattr(args, "n_paths", None) is not None and args.n_paths < 1:
         raise UsageError("--n-paths must be >= 1")
+    if getattr(args, "dump_count", None) is not None and args.dump_count < 0:
+        raise UsageError("--dump-count must be >= 0")
     if getattr(args, "delta", None) is not None and args.T is not None \
             and not (0.0 < args.delta < args.T / 2.0):
         raise UsageError("--delta must lie in (0, T/2)")

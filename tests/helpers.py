@@ -7,9 +7,12 @@ panels, the scalar minimization oracle scans a dense grid, the lattice
 reference sweeps every node of the triangle with the split a* = rho/(1+rho),
 and the kernel reference integrates the initial-value problem from a
 midpoint pair with SciPy's DOP853 (Hairer, Norsett & Wanner 1993) instead of
-solving the boundary-value problem by Newton's method.
+solving the boundary-value problem by Newton's method.  The reference curve
+writer goes row by row through the csv module, which fixes the bytes the
+package's one-pass writer must reproduce.
 """
 
+import csv
 import math
 import os
 import subprocess
@@ -162,6 +165,16 @@ def terminal_blowup_medians(curve, p, T, c, n_paths, n_steps, deltas, seed):
         out[float(delta)] = (float(np.median(y[bind])),
                             float(np.median(y[~bind])))
     return out
+
+
+def reference_write_curve_csv(curve, csv_path):
+    """The curve CSV written row by row through csv.writer, the way
+    save_curve wrote it before it formatted all rows at once."""
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "g", "dg"])
+        for y, g, dg in zip(curve.ys, curve.gs, curve.dgs):
+            writer.writerow([f"{y:.17g}", f"{g:.17g}", f"{dg:.17g}"])
 
 
 def run_cli(args, cwd, env_extra=None):

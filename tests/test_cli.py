@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -114,6 +115,24 @@ class TestValue:
         assert proc.returncode == 2
 
 
+class TestMalformedCurve:
+    @pytest.mark.parametrize("body", [
+        "0.1,0.9,-1.0\n0.2,oops,-1.0\n",
+        "0.1,0.9,-1.0\n0.2,0.8\n",
+        "",
+    ], ids=["non_float_field", "short_row", "header_only"])
+    def test_value_exits_2_naming_the_file(self, workdir, tmp_path, capsys,
+                                           body):
+        bad = tmp_path / "bad.csv"
+        shutil.copy(workdir / "gcurve_p2.json", tmp_path / "bad.json")
+        bad.write_text("y,g,dg\n" + body)
+        assert cli.main(["value", "--curve", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(bad) in err
+
+
 class TestNegativeExponentValue:
     # argparse alone reads "-8.86e-05" as an unknown option, not as --c's value
     @pytest.mark.parametrize("argv", [
@@ -199,6 +218,25 @@ class TestSimulate:
         assert via_env.returncode == 0, via_env.stderr
         assert via_flag.returncode == 0, via_flag.stderr
         assert json.loads(via_env.stdout) == json.loads(via_flag.stdout)
+
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    def test_negative_dump_count_is_usage_error(self, workdir, tmp_path,
+                                                monkeypatch, capsys,
+                                                via_config):
+        monkeypatch.chdir(workdir)
+        argv = ["simulate", "--n-paths", "64", "--n-steps", "50",
+                "--dump-paths", str(tmp_path / "dd")]
+        if via_config:
+            (tmp_path / "cfg.ini").write_text("dump_count = -3\n")
+            argv += ["--config", str(tmp_path / "cfg.ini")]
+        else:
+            argv += ["--dump-count", "-3"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--dump-count" in err
+        assert not (tmp_path / "dd").exists()
 
     def test_threads_is_not_an_option(self, workdir, tmp_path):
         # Monte Carlo runs serially; neither the flag nor a config key exists.

@@ -14,7 +14,7 @@ from targetcost.ode import (DEFAULT_EPSILON, GRID_DZ, GCurve, _newton, _snapped,
                             save_curve, shoot, value_function)
 from targetcost.walk import dp_value
 
-from helpers import reference_ivp
+from helpers import reference_ivp, reference_write_curve_csv
 
 # Values the calibration must reproduce, pinned from two independent
 # routes: the random-walk program (midpoint value 0.8687 +- 0.001 after
@@ -269,6 +269,15 @@ class TestValueFunction:
             value_function(curve_p2, Params(2.5, 1.0, 0.0, 0.0))
 
 
+def _synthetic_curve(epsilon):
+    """g = (1 - y)^2 on the stored z-grid of a curve calibrated at epsilon."""
+    z_edge = -std_normal_quantile(epsilon)
+    n_half = round(z_edge / GRID_DZ)
+    ys = std_normal_cdf(z_edge / n_half * np.arange(-n_half, n_half + 1))
+    return GCurve(p=2.0, ys=ys, gs=(1.0 - ys) ** 2, dgs=-2.0 * (1.0 - ys),
+                  epsilon=epsilon)
+
+
 class TestSerialization:
     def test_round_trip_exact(self, shot_p2, tmp_path):
         csv_path = tmp_path / "curve.csv"
@@ -292,11 +301,7 @@ class TestSerialization:
     def test_small_epsilon_round_trip_evaluates(self, epsilon, tmp_path):
         # Levels near 1 are stored only to ulp(1), which moves the reloaded
         # grid off uniform by up to about 2e-9 in z at epsilon = 1e-8.
-        z_edge = -std_normal_quantile(epsilon)
-        n_half = round(z_edge / GRID_DZ)
-        ys = std_normal_cdf(z_edge / n_half * np.arange(-n_half, n_half + 1))
-        curve = GCurve(p=2.0, ys=ys, gs=(1.0 - ys) ** 2, dgs=-2.0 * (1.0 - ys),
-                       epsilon=epsilon)
+        curve = _synthetic_curve(epsilon)
         save_curve(curve, tmp_path / "c.csv", tmp_path / "c.json")
         loaded, _ = load_curve(tmp_path / "c.csv", tmp_path / "c.json")
         levels = np.linspace(epsilon, 1.0 - epsilon, 2001)
@@ -304,6 +309,39 @@ class TestSerialization:
         assert np.array_equal(g, eval_g(curve, levels)[0])
         assert np.max(np.abs(g - (1.0 - levels) ** 2)) <= 1e-12
         assert np.max(np.abs(dg / (-2.0 * (1.0 - levels)) - 1.0)) <= 1e-8
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, "synthetic"])
+    def test_bytes_match_csv_writer(self, shots_all, p, tmp_path):
+        curve = _synthetic_curve(1e-8) if p == "synthetic" else shots_all[p].curve
+        save_curve(curve, tmp_path / "c.csv", tmp_path / "c.json")
+        reference_write_curve_csv(curve, tmp_path / "ref.csv")
+        written = (tmp_path / "c.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        assert written.count(b"\r\n") == len(curve.ys) + 1
+
+    def test_newline_endings_load_the_same(self, shot_p2, tmp_path):
+        save_curve(shot_p2.curve, tmp_path / "c.csv", tmp_path / "c.json")
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes((tmp_path / "c.csv").read_bytes().replace(b"\r\n", b"\n"))
+        crlf_curve, _ = load_curve(tmp_path / "c.csv", tmp_path / "c.json")
+        lf_curve, _ = load_curve(lf, tmp_path / "c.json")
+        for name in ("ys", "gs", "dgs"):
+            assert np.array_equal(getattr(lf_curve, name), getattr(crlf_curve, name))
+
+    # A non-float field, a short row and a bare header are checked through
+    # the CLI in test_cli.py::TestMalformedCurve.
+    @pytest.mark.parametrize("text", [
+        "y,g\n0.1,0.9\n0.2,0.8\n",
+        "y,g,dg\n0.1,0.9,-1,0\n0.2,0.8,-1,0\n",
+        "y,g,dg\n0.1,0.9,-1\n",
+        "y,g,dg\n# comment\n0.1,0.9,-1\n0.2,0.8,-1\n",
+        "",
+    ], ids=["header", "long_rows", "one_row", "comment", "empty"])
+    def test_malformed_csv_is_usage_error(self, tmp_path, text):
+        (tmp_path / "c.json").write_text('{"p": 2.0, "epsilon": 1e-4}')
+        (tmp_path / "c.csv").write_text(text)
+        with pytest.raises(UsageError, match="c.csv"):
+            load_curve(tmp_path / "c.csv", tmp_path / "c.json")
 
     def test_sidecar_is_plain_json(self, shot_p2, tmp_path):
         save_curve(shot_p2.curve, tmp_path / "c.csv", tmp_path / "c.json")

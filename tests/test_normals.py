@@ -105,6 +105,38 @@ class TestQuantile:
             assert std_normal_cdf(z) == pytest.approx(q, abs=1e-10)
 
 
+class TestScalarPath:
+    # A lone float takes math.erfc / math.exp / math.log; an array of any
+    # size takes the numpy code.  The two must agree.
+    def test_cdf_matches_array_path(self):
+        z = np.linspace(-8.0, 26.0, 68_001)  # the TestErfc grid
+        scalar = np.array([std_normal_cdf(v) for v in z.tolist()])
+        assert np.max(np.abs(scalar - std_normal_cdf(z)) / std_normal_cdf(z)) <= 2e-15
+
+    def test_quantile_matches_array_path(self):
+        tails = np.logspace(-15.0, -1.0, 1401)
+        q = np.concatenate((tails, np.linspace(0.1, 0.9, 801), 1.0 - tails))
+        scalar = np.array([std_normal_quantile(v) for v in q.tolist()])
+        assert np.max(np.abs(scalar - std_normal_quantile(q))) <= 1e-13
+
+    def test_numpy_scalars_take_the_same_path(self):
+        for v in (np.float64(0.3), np.float32(0.3)):
+            assert type(std_normal_cdf(v)) is float
+            assert std_normal_cdf(v) == std_normal_cdf(float(v))
+            assert std_normal_quantile(v) == std_normal_quantile(float(v))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_cdf_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            std_normal_cdf(bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, 1.0,
+                                     np.float64(0.0), np.float64(1.0)])
+    def test_quantile_rejects_outside_open_interval(self, bad):
+        with pytest.raises(DomainError):
+            std_normal_quantile(bad)
+
+
 def _level(t, w, T, c):
     """The conditional probability that W_T ends below c, given W_t = w:
     the level the simulator feeds to the kernel."""
