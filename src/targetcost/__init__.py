@@ -23,6 +23,6 @@ from .ode import (GCurve, ShootingResult, chord_lower_bound, eval_g,
 from .sim import (BsdeResidualStats, SimPath, bsde_residual, mc_cost_estimate,
                   nth_path, run_optimal_control)
 from .verify import run_verification
-from .walk import dp_g_profile, dp_value, inner_min, refinement_gap
+from .walk import dp_g_profile, dp_value
 
 __version__ = "0.1.0"

@@ -14,6 +14,8 @@ failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -37,16 +39,6 @@ EXIT_CALIBRATION = 3
 EXIT_VERIFY = 4
 
 DEFAULT_SEED = 12345
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def _config_flags(path, command, options):
@@ -105,17 +97,16 @@ def _load_checked_curve(curve_path, p):
 def cmd_calibrate(args):
     out = args.out or f"gcurve_p{args.p:g}"
     result = shoot(args.p, args.epsilon, args.boundary_tol)
-    save_curve(result.curve, out + ".csv", out + ".json",
-               meta={"g_mid": result.g_mid, "gamma": result.gamma,
-                     "left_residual": result.left_residual,
-                     "right_residual": result.right_residual})
+    curve = result.curve
+    save_curve(curve, out + ".csv", out + ".json",
+               meta={"g_mid": result.g_mid, "gamma": result.gamma})
     print(f"g_mid = {result.g_mid:.17g}")
     print(f"gamma = {result.gamma:.17g}")
-    print(f"left_residual = {result.left_residual:.3e}")
-    print(f"right_residual = {result.right_residual:.3e}")
+    print(f"left_residual = {curve.left_residual:.3e}")
+    print(f"right_residual = {curve.right_residual:.3e}")
     print(f"curve: {out}.csv  sidecar: {out}.json")
     failed = [f"{name} (worst {worst:.3g})" for name, (ok, worst)
-              in curve_invariant_report(result.curve).items() if not ok]
+              in curve_invariant_report(curve).items() if not ok]
     if failed:
         print(f"warning: curve fails invariants: {', '.join(failed)}",
               file=sys.stderr)
@@ -130,7 +121,7 @@ def cmd_value(args):
     payload = {"p": curve.p, "T": args.T, "x": args.x, "c": args.c,
                "level": level, "g_at_level": eval_g(curve, level)[0],
                "value": value}
-    print(json.dumps(_jsonable(payload), sort_keys=True))
+    print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
 
@@ -176,9 +167,9 @@ def cmd_simulate(args):
                 dump_path_csv(path, fh)
     if args.summary_out:
         with open(args.summary_out, "w") as fh:
-            json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    print(json.dumps(_jsonable(summary), sort_keys=True))
+    print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 
@@ -186,11 +177,7 @@ def cmd_bsde_check(args):
     curve, _ = _load_checked_curve(args.curve, args.p)
     stats = bsde_residual(curve, curve.p, args.T, args.c, args.n_paths,
                           args.n_steps, args.delta, args.seed)
-    payload = {"n_paths": stats.n_paths, "n_steps": stats.n_steps,
-               "delta": stats.delta, "mean_residual": stats.mean_residual,
-               "stderr": stats.stderr, "rms_residual": stats.rms_residual,
-               "z_min": stats.z_min, "window_steps": stats.n_window_steps}
-    print(json.dumps(_jsonable(payload), sort_keys=True))
+    print(json.dumps(dataclasses.asdict(stats), sort_keys=True))
     return EXIT_OK
 
 
@@ -222,9 +209,9 @@ def cmd_verify(args):
                                      g_bump=g_bump)
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    print(json.dumps(_jsonable(report), sort_keys=True))
+    print(json.dumps(report, sort_keys=True))
     if not report["passed"]:
         failed = [k for k, v in report["suites"].items() if not v["passed"]]
         print(f"verification failed: {failed}", file=sys.stderr)
@@ -232,6 +219,7 @@ def cmd_verify(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="targetcost",

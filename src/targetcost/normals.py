@@ -257,7 +257,8 @@ class Params:
     def __post_init__(self):
         for name in ("p", "T", "x", "c"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not (isinstance(v, (int, float, np.integer, np.floating))
+                    and math.isfinite(v)):
                 raise DomainError(f"{name} must be a finite number")
         if self.p <= 1.0:
             raise DomainError("p must be > 1")

@@ -19,11 +19,13 @@ The tests check the result by an independent initial-value route: from the
 midpoint pair, SciPy's DOP853 integrates outward onto the same grid.
 
 Curves store (y, g, dg/dy) on a grid uniform in z and serialize to CSV plus
-a JSON sidecar.  The CSV is a `y,g,dg` header and one row per node, each
-number written with 17 significant digits (so a reload is bit-identical)
-and each row ending in \\r\\n; save_curve streams the rows through one
-format string and load_curve parses the whole body with one np.loadtxt, so
-neither loops over rows in Python.  Every kernel lookup goes through one
+a JSON sidecar.  The quantile-coordinate nodes zs and slopes gzs are
+derived from the stored levels, so a fresh curve and its reload are the
+same data.  The CSV is a `y,g,dg` header and one row per node, each number
+written with 17 significant digits (so a reload is bit-identical) and each
+row ending in \\r\\n; save_curve streams the rows through one format
+string and load_curve parses the whole body with one np.loadtxt, so neither
+loops over rows in Python.  Every kernel lookup goes through one
 evaluator, eval_g_z: the cubic Hermite interpolant in z through the stored
 values and slopes g_z = dg/dy * pdf(z).
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -72,8 +74,8 @@ class GCurve:
     """Discretized kernel g on [epsilon, 1 - epsilon].
 
     Arrays are aligned: ys ascending, gs the values, dgs the derivatives in
-    the y coordinate.  zs and gzs hold the same data in the quantile
-    coordinate and feed the residual check.  Treat all arrays as immutable.
+    the y coordinate.  zs and gzs, the same data in the quantile coordinate,
+    are derived from them.  Treat all arrays as immutable.
     """
 
     p: float
@@ -81,20 +83,14 @@ class GCurve:
     gs: np.ndarray
     dgs: np.ndarray
     epsilon: float
-    zs: np.ndarray = field(repr=False, default=None)
-    gzs: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.zs is None:
-            z = self._level_zs
-            object.__setattr__(self, "zs", z)
-            object.__setattr__(self, "gzs", self.dgs * std_normal_pdf(z))
 
     @cached_property
-    def _level_zs(self):
-        # quantile(ys), shared by a curve built from its levels and by the
-        # evaluator, so that loading a curve takes one quantile, not two.
+    def zs(self):
         return std_normal_quantile(self.ys)
+
+    @cached_property
+    def gzs(self):
+        return self.dgs * std_normal_pdf(self.zs)
 
     @cached_property
     def _hermite(self):
@@ -105,13 +101,13 @@ class GCurve:
         # (1e-11 at y = 1 - 1e-6); so the step is read on the lower half,
         # where levels keep their relative precision, and a node may sit
         # that far off the grid.
-        zs = self._level_zs
+        zs = self.zs
         mid = max(1, int(np.argmin(np.abs(zs))))
         dz = (zs[mid] - zs[0]) / mid
         slack = 1e-9 * abs(dz) + 4.0 * np.finfo(float).eps / std_normal_pdf(zs)
         if np.any(np.abs(zs - zs[0] - dz * np.arange(len(zs))) > slack):
             raise UsageError("kernel evaluation needs the uniform quantile grid")
-        slope = self.dgs * std_normal_pdf(zs) * dz  # g_z per cell width
+        slope = self.gzs * dz  # g_z per cell width
         rise = np.diff(self.gs)
         s0, s1 = slope[:-1], slope[1:]
         coeffs = np.column_stack(
@@ -137,13 +133,11 @@ class GCurve:
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Calibrated midpoint data plus the full curve and boundary residuals."""
+    """Calibrated midpoint data plus the full curve."""
 
     g_mid: float
     gamma: float
     curve: GCurve
-    left_residual: float
-    right_residual: float
 
 
 def _newton(p, zs, g):
@@ -208,8 +202,7 @@ def _snapped(p, epsilon, zs, gs):
             "solution is not monotone within [0, 1] beyond rounding",
             diagnostics={"p": p, "worst_excursion": float(worst)})
     return GCurve(p=float(p), ys=std_normal_cdf(zs), gs=snapped_gs,
-                  dgs=snapped_gzs / std_normal_pdf(zs), epsilon=float(epsilon),
-                  zs=zs, gzs=snapped_gzs)
+                  dgs=snapped_gzs / std_normal_pdf(zs), epsilon=float(epsilon))
 
 
 def shoot(p, epsilon=DEFAULT_EPSILON, boundary_tol=DEFAULT_BOUNDARY_TOL):
@@ -248,8 +241,7 @@ def shoot(p, epsilon=DEFAULT_EPSILON, boundary_tol=DEFAULT_BOUNDARY_TOL):
             diagnostics={"p": p, "g_mid": g_mid, "gamma": gamma,
                          "left_residual": left_res, "right_residual": right_res,
                          "boundary_tol": boundary_tol})
-    return ShootingResult(g_mid=g_mid, gamma=gamma, curve=curve,
-                          left_residual=left_res, right_residual=right_res)
+    return ShootingResult(g_mid=g_mid, gamma=gamma, curve=curve)
 
 
 def eval_g_z(curve, z, y=None, *, slope=False):
@@ -318,14 +310,9 @@ def eval_g(curve, y):
 
 
 def eval_g_value(curve, y):
-    """eval_g's value without the derivative, vectorized.
-
-    Returns a float for scalar input, an array otherwise.
-    """
-    scalar = np.ndim(y) == 0
-    arr = np.atleast_1d(np.asarray(y, dtype=float))
-    out = eval_g_z(curve, std_normal_quantile(arr), arr)
-    return float(out[0]) if scalar else out
+    """eval_g's value without the derivative: a float for scalar input, an
+    array otherwise."""
+    return eval_g(curve, y)[0]
 
 
 def value_function(curve, params):
@@ -341,17 +328,15 @@ def value_function(curve, params):
 def ode_residuals(curve):
     """|h g'' + (p-1)(g - g^{p/(p-1)})| at interior collocation points.
 
-    g'' comes from a five-point divided difference of the stored first
-    derivative in the quantile coordinate, where h g'' equals
-    (g_zz + z g_z) / 2; the nonlinear term uses the stored values.  The
+    g'' comes from a five-point divided difference of the first derivative
+    in the quantile coordinate, where h g'' equals (g_zz + z g_z) / 2, with
+    the step of the uniform grid the evaluator checked; the nonlinear term
+    uses the stored values.  The
     returned array covers nodes with a full stencil (two neighbors each
     side), which is the collocation set the residual contract refers to.
     """
     z, g, q = curve.zs, curve.gs, curve.gzs
-    dz = np.diff(z)
-    if np.max(np.abs(dz - dz[0])) > 1e-9 * np.abs(dz[0]):
-        raise UsageError("residual check needs the uniform quantile grid")
-    step = dz[0]
+    step = 1.0 / curve._hermite[1]
     g_zz = (-q[4:] + 8.0 * q[3:-1] - 8.0 * q[1:-3] + q[:-4]) / (12.0 * step)
     zi, gi = z[2:-2], g[2:-2]
     nonlinear = (curve.p - 1.0) * (gi - np.maximum(gi, 0.0) ** (curve.p / (curve.p - 1.0)))

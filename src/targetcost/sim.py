@@ -71,7 +71,7 @@ class BsdeResidualStats:
     stderr: float
     rms_residual: float
     z_min: float
-    n_window_steps: int
+    window_steps: int
 
 
 def _block_increments(seed, block, rows, n_steps, sqrt_dt):
@@ -290,7 +290,7 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
     return BsdeResidualStats(
         n_paths=n_paths, n_steps=n_steps, delta=float(delta),
         mean_residual=mean, stderr=stderr, rms_residual=rms,
-        z_min=z_min, n_window_steps=k_end)
+        z_min=z_min, window_steps=k_end)
 
 
 def dump_path_csv(path, fh):

@@ -41,19 +41,19 @@ def _perturbed_curve(curve, amp, lo, hi):
     gs = np.clip(curve.gs + amp * ((curve.ys >= lo) & (curve.ys <= hi)),
                  0.0, 1.0)
     return GCurve(p=curve.p, ys=curve.ys, gs=gs, dgs=curve.dgs,
-                  epsilon=curve.epsilon, zs=curve.zs, gzs=curve.gzs)
+                  epsilon=curve.epsilon)
 
 
-def suite_gcurve(budget, results):
+def suite_gcurve(budget, solve):
     ps = (1.5, 2.0, 3.0) if budget == "full" else (2.0,)
     details = {}
     ok = True
     for p in ps:
-        res = results.setdefault(p, shoot(p))
-        report = curve_invariant_report(res.curve)
+        curve = solve(p).curve
+        report = curve_invariant_report(curve)
         curve_ok = all(flag for flag, _ in report.values())
         # chord concavity on a spread of node triples
-        ys, gs = res.curve.ys, res.curve.gs
+        ys, gs = curve.ys, curve.gs
         idx = np.linspace(2, len(ys) - 3, 40).astype(int)
         worst_chord = 0.0
         for i in idx:
@@ -62,15 +62,15 @@ def suite_gcurve(budget, results):
             chord = gs[a] * (1 - lam) + gs[b] * lam
             worst_chord = max(worst_chord, chord - gs[i])
         curve_ok &= worst_chord <= 1e-6
-        curve_ok &= res.left_residual <= 1e-3 and res.right_residual <= 1e-3
+        curve_ok &= curve.left_residual <= 1e-3 and curve.right_residual <= 1e-3
         details[str(p)] = {k: v for k, (ok_k, v) in report.items()}
         details[str(p)]["worst_chord_gap"] = worst_chord
-        details[str(p)]["boundary"] = [res.left_residual, res.right_residual]
+        details[str(p)]["boundary"] = [curve.left_residual, curve.right_residual]
         ok &= curve_ok
     return ok, details
 
 
-def suite_holder(budget, results):
+def suite_holder(budget):
     grid = np.linspace(0.02, 0.98, 25 if budget == "full" else 9)
     worst = math.inf
     for p in (1.5, 2.0, 3.0):
@@ -80,17 +80,17 @@ def suite_holder(budget, results):
     return worst >= 1.0 - 1e-9, {"min_value": worst}
 
 
-def suite_oracle_agreement(budget, results):
-    res = results.setdefault(2.0, shoot(2.0))
+def suite_oracle_agreement(budget, solve):
+    curve = solve(2.0).curve
     n = 2000 if budget == "full" else 500
     tol = ORACLE_TOL if budget == "full" else 0.05
     levels = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     profile = dp_g_profile(n, 2.0, levels)
-    diffs = [abs(val - eval_g_value(res.curve, y)) for y, val in profile]
+    diffs = [abs(val - eval_g_value(curve, y)) for y, val in profile]
     return max(diffs) <= tol, {"n": n, "max_diff": max(diffs), "tol": tol}
 
 
-def suite_scaling(budget, results):
+def suite_scaling(budget):
     cases = ([(0.25, -0.5), (1.0, 0.0), (4.0, 1.0)] if budget == "full"
              else [(4.0, 1.0)])
     ps = (1.5, 2.0, 3.0) if budget == "full" else (2.0,)
@@ -113,8 +113,8 @@ def suite_scaling(budget, results):
     return ok, details
 
 
-def suite_mc_optimality(budget, results, seed):
-    res = results.setdefault(2.0, shoot(2.0))
+def suite_mc_optimality(budget, solve, seed):
+    curve = solve(2.0).curve
     params = Params(2.0, 1.0, 0.0, 0.0)
     if budget == "full":
         n_paths, n_steps = 100_000, 2000
@@ -123,14 +123,14 @@ def suite_mc_optimality(budget, results, seed):
         n_paths, n_steps = 20_000, 500
         etas = (GAIN_BUMP,)
     mean, se, viol, costs = mc_cost_estimate(
-        res.curve, params, n_paths, n_steps, seed, return_costs=True)
+        curve, params, n_paths, n_steps, seed, return_costs=True)
     ok = viol == 0 and abs(mean - VALUE_TARGET) <= VALUE_TOL + 3.0 * se
     details = {"mean": mean, "stderr": se, "violations": viol,
                "target": VALUE_TARGET}
     lo, hi = BUMP_WINDOW
     for eta in etas:
         _m, _s, viol_p, costs_p = mc_cost_estimate(
-            res.curve, params, n_paths, n_steps, seed,
+            curve, params, n_paths, n_steps, seed,
             gain_transform=_bump_transform(eta, lo, hi), return_costs=True)
         diff = costs_p - costs
         gap = float(np.mean(diff))
@@ -140,9 +140,8 @@ def suite_mc_optimality(budget, results, seed):
     return ok, details
 
 
-def suite_bsde(budget, results, seed, g_bump=None):
-    res = results.setdefault(2.0, shoot(2.0))
-    curve = res.curve
+def suite_bsde(budget, solve, seed, g_bump=None):
+    curve = solve(2.0).curve
     if g_bump is not None:
         curve = _perturbed_curve(curve, *g_bump)
     sizes = (500, 1000, 2000) if budget == "full" else (500, 2000)
@@ -173,7 +172,7 @@ def _entropy_by_quadrature(n, T):
     return 0.5 * n ** (-4.0 / 3.0) * value
 
 
-def suite_exp_duality(budget, results, seed):
+def suite_exp_duality(budget, seed):
     rng = np.random.default_rng(seed)
     ok = True
     # closed form identity on random points
@@ -220,18 +219,18 @@ def run_verification(budget="full", *, seed=DEFAULT_SEED, g_bump=None):
     """
     if budget not in ("full", "quick"):
         raise ValueError("budget must be 'full' or 'quick'")
-    results = {}
+    solve = cache(shoot)  # each p is solved once, whichever suite asks first
     report = {"budget": budget, "seed": seed, "suites": {}}
     t0 = time.perf_counter()
     runs = [
-        ("gcurve_invariants", lambda: suite_gcurve(budget, results)),
-        ("holder_inequality", lambda: suite_holder(budget, results)),
-        ("oracle_agreement", lambda: suite_oracle_agreement(budget, results)),
-        ("scaling_law", lambda: suite_scaling(budget, results)),
-        ("bsde_residual", lambda: suite_bsde(budget, results, seed,
+        ("gcurve_invariants", lambda: suite_gcurve(budget, solve)),
+        ("holder_inequality", lambda: suite_holder(budget)),
+        ("oracle_agreement", lambda: suite_oracle_agreement(budget, solve)),
+        ("scaling_law", lambda: suite_scaling(budget)),
+        ("bsde_residual", lambda: suite_bsde(budget, solve, seed,
                                              g_bump=g_bump)),
-        ("exp_duality", lambda: suite_exp_duality(budget, results, seed)),
-        ("mc_optimality", lambda: suite_mc_optimality(budget, results, seed)),
+        ("exp_duality", lambda: suite_exp_duality(budget, seed)),
+        ("mc_optimality", lambda: suite_mc_optimality(budget, solve, seed)),
     ]
     all_ok = True
     for name, fn in runs:

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .normals import std_normal_quantile
+from .normals import Params, std_normal_quantile
 
 # Band cut-offs: a node below TINY is taken as 0, and a node within
 # CERTAIN_RTOL (relative) of (m dt)^{1-p} is taken as equal to it.
@@ -48,31 +48,6 @@ def _bellman_min(kappa1, e, p):
     no special case.  Scalars or arrays.
     """
     return e * (1.0 + (e / kappa1) ** (1.0 / (p - 1.0))) ** (1.0 - p)
-
-
-def inner_min(kappa1, kappa2, p):
-    """Minimize a^p * kappa1 + (1-a)^p * kappa2 over a in [0, 1].
-
-    Returns (a_star, cost).  Closed form: a* = rho / (1 + rho) with
-    rho = (kappa2/kappa1)^{1/(p-1)}, and the cost is
-    (kappa1^{-q} + kappa2^{-q})^{-(p-1)}, q = 1/(p-1); an infinite kappa2
-    forces a* = 1.
-    """
-    if not (kappa1 > 0.0):
-        raise DomainError("kappa1 must be > 0")
-    if kappa2 < 0.0:
-        raise DomainError("kappa2 must be >= 0 or infinity")
-    if p <= 1.0:
-        raise DomainError("p must be > 1")
-    if math.isinf(kappa2):
-        return 1.0, kappa1
-    if kappa2 == 0.0:
-        return 0.0, 0.0
-    rho = (kappa2 / kappa1) ** (1.0 / (p - 1.0))
-    # the closed form is symmetric in its two costs; scaling by the
-    # smaller one keeps the power below 1
-    return rho / (1.0 + rho), _bellman_min(max(kappa1, kappa2),
-                                           min(kappa1, kappa2), p)
 
 
 def _sweep(width, J, n, dt, p):
@@ -133,13 +108,7 @@ def _first_binding(n, dt, c, tie):
 def _check_args(n, T, c, p, tie):
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise DomainError("n must be an integer >= 2")
-    for name, value in (("T", T), ("c", c), ("p", p)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be a finite number")
-    if not (T > 0.0):
-        raise DomainError("T must be > 0")
-    if not (p > 1.0):
-        raise DomainError("p must be > 1")
+    Params(p, T, 0.0, c)  # finite p > 1, T > 0 and c, as for any instance
     if tie not in ("geq", "gt"):
         raise DomainError("tie must be 'geq' or 'gt'")
     dt = T / n
@@ -184,11 +153,6 @@ def dp_g_profile(n, p, levels, tie="geq"):
     top = max(js)
     roots = _last_layer(n + 1 + top - min(js), top, n, dt, p)
     return [(float(y), float(roots[top - j])) for y, j in zip(levels, js)]
-
-
-def refinement_gap(n, T, c, p, tie="geq"):
-    """|dp_value(2n) - dp_value(n)|, the measured discretization scale."""
-    return abs(dp_value(2 * n, T, c, p, tie=tie) - dp_value(n, T, c, p, tie=tie))
 
 
 def save_profile(profile, path):

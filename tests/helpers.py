@@ -10,6 +10,10 @@ midpoint pair with SciPy's DOP853 (Hairer, Norsett & Wanner 1993) instead of
 solving the boundary-value problem by Newton's method.  The reference curve
 writer goes row by row through the csv module, which fixes the bytes the
 package's one-pass writer must reproduce.
+
+inner_min (the Bellman split with its minimizer) and refinement_gap are
+test-only wrappers: they call walk._bellman_min and walk.dp_value, so the
+tests that use them check the package's own lattice code.
 """
 
 import csv
@@ -22,9 +26,11 @@ from pathlib import Path
 import numpy as np
 
 import targetcost
+from targetcost.errors import DomainError
 from targetcost.normals import std_normal_quantile
 from targetcost.ode import DEFAULT_EPSILON, GRID_DZ, eval_g_z
 from targetcost.sim import _brownian, _gain
+from targetcost.walk import _bellman_min, dp_value
 
 # The directory holding the package this test process imported.  Putting it
 # first on the child's PYTHONPATH makes every CLI subprocess run that same
@@ -57,6 +63,36 @@ def scan_min_split(kappa1, kappa2, p, n_grid=1_000_001):
     costs = a ** p * kappa1 + (1.0 - a) ** p * kappa2
     i = int(np.argmin(costs))
     return float(a[i]), float(costs[i])
+
+
+def inner_min(kappa1, kappa2, p):
+    """Minimize a^p * kappa1 + (1-a)^p * kappa2 over a in [0, 1].
+
+    Returns (a_star, cost).  Closed form: a* = rho / (1 + rho) with
+    rho = (kappa2/kappa1)^{1/(p-1)}, and the cost is
+    (kappa1^{-q} + kappa2^{-q})^{-(p-1)}, q = 1/(p-1); an infinite kappa2
+    forces a* = 1.
+    """
+    if not (kappa1 > 0.0):
+        raise DomainError("kappa1 must be > 0")
+    if kappa2 < 0.0:
+        raise DomainError("kappa2 must be >= 0 or infinity")
+    if p <= 1.0:
+        raise DomainError("p must be > 1")
+    if math.isinf(kappa2):
+        return 1.0, kappa1
+    if kappa2 == 0.0:
+        return 0.0, 0.0
+    rho = (kappa2 / kappa1) ** (1.0 / (p - 1.0))
+    # the closed form is symmetric in its two costs; scaling by the
+    # smaller one keeps the power below 1
+    return rho / (1.0 + rho), _bellman_min(max(kappa1, kappa2),
+                                           min(kappa1, kappa2), p)
+
+
+def refinement_gap(n, T, c, p, tie="geq"):
+    """|dp_value(2n) - dp_value(n)|, the measured discretization scale."""
+    return abs(dp_value(2 * n, T, c, p, tie=tie) - dp_value(n, T, c, p, tie=tie))
 
 
 def _reference_bellman_sweep(psi_next, kappa1, p):

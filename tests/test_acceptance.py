@@ -32,9 +32,9 @@ from targetcost.normals import Params
 from targetcost.ode import (chord_lower_bound, curve_invariant_report, eval_g,
                             ode_residuals)
 from targetcost.sim import bsde_residual, mc_cost_estimate
-from targetcost.walk import dp_g_profile, dp_value, inner_min, refinement_gap
+from targetcost.walk import dp_g_profile, dp_value
 
-from helpers import run_cli, scan_min_split
+from helpers import inner_min, refinement_gap, run_cli, scan_min_split
 
 LEVELS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import shutil
 
@@ -335,6 +336,41 @@ class TestStartup:
         assert probe["import"] == []
         assert probe["codes"] == [0, 0, 0, 0]
         assert probe["commands"] == []
+
+
+class TestParserReuse:
+    """One parser serves every cli.main call of a process."""
+
+    def test_call_leaves_no_cyclic_garbage(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["expcase", "--n-list", "4,8", "--out", "w.csv"]
+        assert cli.main(argv) == 0
+        gc.collect()
+        gc.disable()  # so that no automatic pass collects part of the count
+        try:
+            assert cli.main(argv) == 0
+            assert gc.collect() < 50
+        finally:
+            gc.enable()
+
+    def test_config_does_not_leak_into_next_call(self, tmp_path, monkeypatch,
+                                                 capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.ini").write_text("p = 3\n")
+        assert cli.main(["calibrate", "--config", "cfg.ini", "--out", "a"]) == 0
+        assert cli.main(["calibrate", "--out", "b"]) == 0
+        assert json.loads((tmp_path / "a.json").read_text())["p"] == 3.0
+        assert json.loads((tmp_path / "b.json").read_text())["p"] == 2.0
+
+    def test_usage_error_does_not_break_next_call(self, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--n", "abc"])
+        assert exc.value.code == 2
+        assert cli.main(["oracle", "--n", "100", "--c", "nan"]) == 2
+        assert cli.main(["oracle", "--n", "100"]) == 0
+        assert capsys.readouterr().out.strip() != ""
 
 
 class TestConfigPrecedence:

@@ -26,11 +26,9 @@ TRUE_GAMMA_P2 = -0.5073
 
 class TestIntegrate:
     def test_constant_one_has_zero_residual(self):
-        ys = np.linspace(0.2, 0.8, 1001)
-        zs = np.linspace(-1.0, 1.0, 1001)  # any uniform grid works here
+        ys = std_normal_cdf(np.linspace(-1.0, 1.0, 1001))  # uniform in z
         curve = GCurve(p=2.0, ys=ys, gs=np.ones_like(ys),
-                       dgs=np.zeros_like(ys), epsilon=1e-4,
-                       zs=zs, gzs=np.zeros_like(ys))
+                       dgs=np.zeros_like(ys), epsilon=1e-4)
         assert np.max(ode_residuals(curve)) == 0.0
 
     def test_calibrated_pair_meets_boundaries(self, shots_all):
@@ -83,8 +81,8 @@ class TestShoot:
     def test_p2_matches_independent_references(self, shot_p2):
         assert shot_p2.g_mid == pytest.approx(TRUE_G_MID_P2, abs=0.02)
         assert shot_p2.gamma == pytest.approx(TRUE_GAMMA_P2, abs=0.02)
-        assert shot_p2.left_residual <= 1e-3
-        assert shot_p2.right_residual <= 1e-3
+        assert shot_p2.curve.left_residual <= 1e-3
+        assert shot_p2.curve.right_residual <= 1e-3
 
     def test_p2_agrees_with_walk_program(self, shot_p2):
         oracle = dp_value(2000, 1.0, 0.0, 2.0)
@@ -111,7 +109,7 @@ class TestShoot:
         res = shoot(p, epsilon)
         for name, (ok, worst) in curve_invariant_report(res.curve).items():
             assert ok, f"p={p} epsilon={epsilon} {name} worst={worst}"
-        assert res.left_residual <= 1e-3 and res.right_residual <= 1e-3
+        assert res.curve.left_residual <= 1e-3 and res.curve.right_residual <= 1e-3
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -293,9 +291,12 @@ class TestSerialization:
         assert sidecar["gamma"] == shot_p2.gamma
         assert set(sidecar) == {"p", "epsilon", "g_mid", "gamma",
                                 "left_residual", "right_residual"}
-        # evaluation after the round trip is bit-identical
+        # evaluation after the round trip is bit-identical, and so are the
+        # checks on the quantile-coordinate data derived from the levels
         ys = np.linspace(0.01, 0.99, 101)
         assert np.array_equal(eval_g(loaded, ys)[0], eval_g(shot_p2.curve, ys)[0])
+        assert np.array_equal(ode_residuals(loaded), ode_residuals(shot_p2.curve))
+        assert curve_invariant_report(loaded) == curve_invariant_report(shot_p2.curve)
 
     @pytest.mark.parametrize("epsilon", [1e-6, 1e-8])
     def test_small_epsilon_round_trip_evaluates(self, epsilon, tmp_path):
@@ -347,3 +348,21 @@ class TestSerialization:
         save_curve(shot_p2.curve, tmp_path / "c.csv", tmp_path / "c.json")
         data = json.loads((tmp_path / "c.json").read_text())
         assert data["epsilon"] == shot_p2.curve.epsilon
+
+
+def test_verification_solves_each_p_once(monkeypatch):
+    from targetcost import verify
+    calls = []
+
+    def counted(p, *args, **kwargs):
+        calls.append(p)
+        return shoot(p, *args, **kwargs)
+
+    def no_paths(curve, params, n_paths, n_steps, seed, **kwargs):
+        # the Monte Carlo suite's paths play no part in what is counted here
+        return 0.0, 0.0, 0, np.zeros(n_paths)
+
+    monkeypatch.setattr(verify, "shoot", counted)
+    monkeypatch.setattr(verify, "mc_cost_estimate", no_paths)
+    verify.run_verification("quick")
+    assert calls == [2.0]

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from targetcost.errors import DomainError, ResourceError
 from targetcost.normals import std_normal_cdf, std_normal_quantile
 from targetcost.walk import (_expand, _first_binding, _sweep, dp_g_profile,
-                             dp_value, inner_min, refinement_gap, save_profile)
+                             dp_value, save_profile)
 
-from helpers import reference_dp_value, scan_min_split
+from helpers import (inner_min, reference_dp_value, refinement_gap,
+                     scan_min_split)
 
 
 class TestInnerMin:
@@ -119,6 +120,11 @@ class TestDpValue:
         message = f"{name} must be a finite number"
         with pytest.raises(DomainError, match=message):
             dp_value(**args)
+
+    def test_numpy_scalar_arguments(self):
+        # the argument checks are Params's, which take NumPy numbers too
+        assert dp_value(100, np.int64(1), np.float32(0.0), 2.0) == \
+            dp_value(100, 1.0, 0.0, 2.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -256,7 +262,7 @@ def test_scaling_suite_sweeps_each_lattice_once(monkeypatch):
         return dp_value(*args, **kwargs)
 
     monkeypatch.setattr(verify, "dp_value", counted)
-    ok, _details = verify.suite_scaling("full", {})
+    ok, _details = verify.suite_scaling("full")
     assert ok
     assert len(calls) == len(set(calls)) == 24
 
