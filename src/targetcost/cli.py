@@ -26,8 +26,7 @@ import numpy as np
 from .errors import (CalibrationError, ResourceError, TargetCostError,
                      UsageError)
 from .normals import CDF_MIN, Params, std_normal_cdf
-from .ode import (curve_invariant_report, eval_g, load_curve, save_curve,
-                  shoot, value_function)
+from .ode import eval_g, load_curve, save_curve, shoot, value_function
 from .sim import (bsde_residual, dump_path_csv, mc_cost_estimate, nth_path,
                   run_optimal_control)
 from .walk import dp_g_profile, dp_value, save_profile
@@ -99,14 +98,15 @@ def cmd_calibrate(args):
     result = shoot(args.p, args.epsilon, args.boundary_tol)
     curve = result.curve
     save_curve(curve, out + ".csv", out + ".json",
-               meta={"g_mid": result.g_mid, "gamma": result.gamma})
+               meta={"g_mid": result.g_mid, "gamma": result.gamma,
+                     "invariants": result.invariants})
     print(f"g_mid = {result.g_mid:.17g}")
     print(f"gamma = {result.gamma:.17g}")
     print(f"left_residual = {curve.left_residual:.3e}")
     print(f"right_residual = {curve.right_residual:.3e}")
     print(f"curve: {out}.csv  sidecar: {out}.json")
     failed = [f"{name} (worst {worst:.3g})" for name, (ok, worst)
-              in curve_invariant_report(curve).items() if not ok]
+              in result.invariants.items() if not ok]
     if failed:
         print(f"warning: curve fails invariants: {', '.join(failed)}",
               file=sys.stderr)
@@ -117,10 +117,10 @@ def cmd_value(args):
     curve, _sidecar = _load_checked_curve(args.curve, args.p)
     params = Params(curve.p, args.T, args.x, args.c)
     level = std_normal_cdf(args.c / math.sqrt(args.T))
-    value = value_function(curve, params)
+    g_at_level = eval_g(curve, level)[0]
     payload = {"p": curve.p, "T": args.T, "x": args.x, "c": args.c,
-               "level": level, "g_at_level": eval_g(curve, level)[0],
-               "value": value}
+               "level": level, "g_at_level": g_at_level,
+               "value": value_function(curve, params, g_at_level)}
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 

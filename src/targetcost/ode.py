@@ -11,12 +11,29 @@ substitution y = cdf(z): since h(y) = pdf(z)^2 / 2, the equation becomes
 which is smooth on the whole line.  shoot solves it on [-z_edge, z_edge],
 the cutoff quantiles of epsilon and 1 - epsilon, with g = 1 and g = 0 held
 there: Newton's method on the central-difference equations, one
-tridiagonal solve per step, on the stored grid and on the grid of half its
+tridiagonal solve per step, on the solve grid and on the grid of half its
 step, combined by Richardson extrapolation.  The midpoint value g(1/2) and
 slope gamma = dg/dy(1/2) are read off the result.
 
+The Newton solves run on the solve grid, uniform in z with spacing near
+GRID_DZ (solve_grid).  The curve shoot returns, and save_curve stores,
+keeps every STORE_STRIDE-th solve node, as many as the cubic Hermite
+evaluator needs: on them it matches the solve-grid interpolant to 1.2e-11
+at p = 2, and within 1e-10 at every p up to 50.  shoot checks the curve
+contracts (curve_invariant_report) on the solve grid, before thinning, and
+returns that verdict with the curve; calibrate writes it to the sidecar.
+ode_residuals on the stored nodes reads a five-point stencil of seven
+times the step, so it reports more than on the solve grid (1.5e-7 against
+1.3e-8 at p = 4): the residual contract is the solve grid's, and the
+sidecar holds its verdict.
+
+Concave means concave in y: each value lies on or below the tangent line
+in y at each neighbouring node.  The check is in value units, so it reads
+the same on any grid; second differences of values on a grid uniform in z
+would measure dz^2 g_zz instead, and g is convex in z on the right half.
+
 The tests check the result by an independent initial-value route: from the
-midpoint pair, SciPy's DOP853 integrates outward onto the same grid.
+midpoint pair, SciPy's DOP853 integrates outward onto the solve grid.
 
 Curves store (y, g, dg/dy) on a grid uniform in z and serialize to CSV plus
 a JSON sidecar.  The quantile-coordinate nodes zs and slopes gzs are
@@ -25,9 +42,11 @@ same data.  The CSV is a `y,g,dg` header and one row per node, each number
 written with 17 significant digits (so a reload is bit-identical) and each
 row ending in \\r\\n; save_curve streams the rows through one format
 string and load_curve parses the whole body with one np.loadtxt, so neither
-loops over rows in Python.  Every kernel lookup goes through one
-evaluator, eval_g_z: the cubic Hermite interpolant in z through the stored
-values and slopes g_z = dg/dy * pdf(z).
+loops over rows in Python.  load_curve takes any uniform-in-z grid, so a
+file of every solve node, as written before curves were thinned, loads and
+evaluates too.  Every kernel lookup goes through one evaluator, eval_g_z:
+the cubic Hermite interpolant in z through the stored values and slopes
+g_z = dg/dy * pdf(z).
 """
 
 from __future__ import annotations
@@ -45,11 +64,14 @@ from .normals import CDF_MIN, Params, std_normal_cdf, std_normal_pdf, std_normal
 
 DEFAULT_EPSILON = 1e-4
 DEFAULT_BOUNDARY_TOL = 1e-3
-# Spacing of the stored grid in the z coordinate.  Fine enough that the
-# five-point stencil used by ode_residuals resolves the curvature to well
-# below the 1e-7 residual contract and that raw second differences of the
-# stored values stay within the discrete concavity tolerance.
+# Spacing of the solve grid in the z coordinate, where the Newton solves
+# run and the curve contracts are checked.  Fine enough that the five-point
+# stencil used by ode_residuals resolves the curvature to well below the
+# 1e-7 residual contract at p <= 5.
 GRID_DZ = 1.25e-3
+# The stored curve keeps every STORE_STRIDE-th solve node (8.75e-3 in z),
+# all the evaluator needs (see above).
+STORE_STRIDE = 7
 
 _MAX_NEWTON = 50
 # One curve CSV row: what csv.writer writes for the three fields at 17 digits.
@@ -133,11 +155,13 @@ class GCurve:
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Calibrated midpoint data plus the full curve."""
+    """Calibrated midpoint data, the stored curve, and the
+    curve_invariant_report of the curve on the solve grid."""
 
     g_mid: float
     gamma: float
     curve: GCurve
+    invariants: dict
 
 
 def _newton(p, zs, g):
@@ -205,18 +229,30 @@ def _snapped(p, epsilon, zs, gs):
                   dgs=snapped_gzs / std_normal_pdf(zs), epsilon=float(epsilon))
 
 
+def solve_grid(epsilon, refine=1):
+    """shoot's nodes in z at cutoff epsilon, each step split into `refine`:
+    uniform on [-z_edge, z_edge], z_edge = -quantile(epsilon), with n_half
+    steps per side, the multiple of STORE_STRIDE nearest z_edge / GRID_DZ."""
+    z_edge = -std_normal_quantile(epsilon)
+    n_half = STORE_STRIDE * max(1, round(z_edge / (STORE_STRIDE * GRID_DZ)))
+    return z_edge / n_half / refine * np.arange(-refine * n_half,
+                                                refine * n_half + 1)
+
+
 def shoot(p, epsilon=DEFAULT_EPSILON, boundary_tol=DEFAULT_BOUNDARY_TOL):
     """Calibrate the kernel with g = 1 at y = epsilon and g = 0 at
     y = 1 - epsilon, and return it with its midpoint value and slope.
 
     Newton's method on the central-difference equations in z (see _newton),
     started from the chord between the two end values, solves on the
-    stored grid and again on the grid of half its step, started from the
-    first solution; the stored values are the Richardson combination
-    (4 fine - coarse) / 3 and the stored slopes their fourth-order
-    differences.  gamma is dg/dy at y = 1/2.  Raises CalibrationError when
-    Newton does not converge, when the solution is not monotone within
-    [0, 1], or when the boundary residuals exceed boundary_tol.
+    solve grid and again on the grid of half its step, started from the
+    first solution; the values are the Richardson combination
+    (4 fine - coarse) / 3 and the slopes their fourth-order differences.
+    gamma is dg/dy at y = 1/2.  The invariants are checked on the solve
+    grid; the returned curve keeps every STORE_STRIDE-th node.  Raises
+    CalibrationError when Newton does not converge, when the solution is
+    not monotone within [0, 1], or when the boundary residuals exceed
+    boundary_tol.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
         raise DomainError("p must be a finite number > 1")
@@ -224,24 +260,29 @@ def shoot(p, epsilon=DEFAULT_EPSILON, boundary_tol=DEFAULT_BOUNDARY_TOL):
         raise DomainError(f"epsilon must lie in [{CDF_MIN:.4g}, 0.1)")
     if not (0.0 < boundary_tol < 0.5):
         raise DomainError("boundary_tol must lie in (0, 0.5)")
-    z_edge = -std_normal_quantile(epsilon)
-    n_half = max(2, round(z_edge / GRID_DZ))
-    dz = z_edge / n_half
-    zs = dz * np.arange(-n_half, n_half + 1)
+    zs = solve_grid(epsilon)
+    n_half = len(zs) // 2
     coarse = _newton(p, zs, 0.5 - zs / (2.0 * zs[-1]))
-    fine_zs = 0.5 * dz * np.arange(-2 * n_half, 2 * n_half + 1)
+    fine_zs = solve_grid(epsilon, refine=2)
     fine = _newton(p, fine_zs, np.interp(fine_zs, zs, coarse))
-    curve = _snapped(p, epsilon, zs, (4.0 * fine[::2] - coarse) / 3.0)
-    g_mid = float(curve.gs[n_half])
-    gamma = float(curve.gzs[n_half]) * math.sqrt(2.0 * math.pi)
-    left_res, right_res = curve.left_residual, curve.right_residual
+    solved = _snapped(p, epsilon, zs, (4.0 * fine[::2] - coarse) / 3.0)
+    g_mid = float(solved.gs[n_half])
+    gamma = float(solved.gzs[n_half]) * math.sqrt(2.0 * math.pi)
+    left_res, right_res = solved.left_residual, solved.right_residual
     if left_res > boundary_tol or right_res > boundary_tol:
         raise CalibrationError(
             "boundary residuals exceed tolerance",
             diagnostics={"p": p, "g_mid": g_mid, "gamma": gamma,
                          "left_residual": left_res, "right_residual": right_res,
                          "boundary_tol": boundary_tol})
-    return ShootingResult(g_mid=g_mid, gamma=gamma, curve=curve)
+    # n_half is a multiple of the stride, so the thinned curve keeps both
+    # ends and the midpoint.
+    keep = slice(None, None, STORE_STRIDE)
+    curve = GCurve(p=solved.p, ys=solved.ys[keep].copy(),
+                   gs=solved.gs[keep].copy(), dgs=solved.dgs[keep].copy(),
+                   epsilon=solved.epsilon)
+    return ShootingResult(g_mid=g_mid, gamma=gamma, curve=curve,
+                          invariants=curve_invariant_report(solved))
 
 
 def eval_g_z(curve, z, y=None, *, slope=False):
@@ -315,14 +356,19 @@ def eval_g_value(curve, y):
     return eval_g(curve, y)[0]
 
 
-def value_function(curve, params):
-    """(1-x)^p / T^{p-1} * g(cdf(c / sqrt(T))) for a calibrated curve."""
+def value_function(curve, params, g_at_level=None):
+    """(1-x)^p / T^{p-1} * g(cdf(c / sqrt(T))) for a calibrated curve.
+
+    g_at_level, when the caller has already evaluated the kernel at the
+    level cdf(c / sqrt(T)), spares the cdf and the second evaluation.
+    """
     params = curve.check_params(params)
     if params.x == 1.0:
         return 0.0
-    level = std_normal_cdf(params.c / math.sqrt(params.T))
-    g_val, _ = eval_g(curve, level)
-    return (1.0 - params.x) ** params.p / params.T ** (params.p - 1.0) * g_val
+    if g_at_level is None:
+        level = std_normal_cdf(params.c / math.sqrt(params.T))
+        g_at_level, _ = eval_g(curve, level)
+    return (1.0 - params.x) ** params.p / params.T ** (params.p - 1.0) * g_at_level
 
 
 def ode_residuals(curve):
@@ -353,8 +399,10 @@ def curve_invariant_report(curve, *, concavity_tol=1e-6, lower_bound_tol=1e-6,
     mono = np.max(np.diff(gs)) if len(gs) > 1 else 0.0
     report["monotone"] = (bool(mono <= 1e-9 and np.max(dgs) <= 1e-9),
                           float(max(mono, np.max(dgs))))
-    second = np.diff(gs, 2)
-    report["concave"] = (bool(np.max(second) <= concavity_tol), float(np.max(second)))
+    # concave in y: each value on or below the tangent in y at each neighbour
+    dy, rise = np.diff(ys), np.diff(gs)
+    above = max(np.max(rise - dgs[:-1] * dy), np.max(dgs[1:] * dy - rise))
+    report["concave"] = (bool(above <= concavity_tol), float(above))
     lb = np.min(gs - (1.0 - ys) ** curve.p)
     report["lower_bound"] = (bool(lb >= -lower_bound_tol), float(lb))
     res = ode_residuals(curve)

@@ -27,8 +27,7 @@ import numpy as np
 
 import targetcost
 from targetcost.errors import DomainError
-from targetcost.normals import std_normal_quantile
-from targetcost.ode import DEFAULT_EPSILON, GRID_DZ, eval_g_z
+from targetcost.ode import DEFAULT_EPSILON, eval_g_z, solve_grid
 from targetcost.sim import _brownian, _gain
 from targetcost.walk import _bellman_min, dp_value
 
@@ -128,11 +127,12 @@ def _band_event(bound):
     return event
 
 
-def reference_ivp(p, g_mid, gamma, epsilon=DEFAULT_EPSILON):
+def reference_ivp(p, g_mid, gamma, nodes=None):
     """The kernel equation g_zz = -z g_z - 2 (p-1) (g - g^{p/(p-1)}) as an
     initial-value problem from g = g_mid, g_z = gamma / sqrt(2 pi) at z = 0,
-    integrated outward by DOP853 (rtol 1e-11, atol 1e-12) onto the nodes
-    of shoot's grid at this epsilon.
+    integrated outward by DOP853 (rtol 1e-11, atol 1e-12) onto nodes: an
+    ascending array symmetric about z = 0 and holding it, by default
+    shoot's solve grid at the default epsilon.
 
     Returns (gs, gzs, exit): values and z-slopes on the nodes, or, when g
     leaves [-0.01, 1.01], (None, None, (branch, side, z)) with the branch
@@ -140,9 +140,11 @@ def reference_ivp(p, g_mid, gamma, epsilon=DEFAULT_EPSILON):
     """
     from scipy.integrate import solve_ivp
 
-    z_edge = -std_normal_quantile(epsilon)
-    n_half = max(2, round(z_edge / GRID_DZ))
-    nodes = z_edge / n_half * np.arange(n_half + 1)
+    if nodes is None:
+        nodes = solve_grid(DEFAULT_EPSILON)
+    nodes = nodes[len(nodes) // 2:]
+    if nodes[0] != 0.0:
+        raise ValueError("reference_ivp needs nodes symmetric about z = 0")
     expo, two_pm1 = p / (p - 1.0), 2.0 * (p - 1.0)
 
     def rhs(z, y):

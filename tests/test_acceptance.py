@@ -217,6 +217,14 @@ def test_criterion_9_property_suites(shots_all):
            + ("; problems: " + "; ".join(problems) if problems else ""))
 
 
+def _above_tangents(rows):
+    """How far any value of a `y,g,dg` table lies above the tangent line in
+    y at a neighbouring node; concave in y means at most 0 up to rounding."""
+    y, g, dg = rows.T
+    dy, rise = np.diff(y), np.diff(g)
+    return max(np.max(rise - dg[:-1] * dy), np.max(dg[1:] * dy - rise))
+
+
 def test_figure_shape_properties(tmp_path, curve_p2):
     """The qualitative content of the three reported figures, as CSV checks."""
     # curve export: decreasing and concave
@@ -224,7 +232,10 @@ def test_figure_shape_properties(tmp_path, curve_p2):
     assert proc.returncode == 0, proc.stderr
     rows = np.loadtxt(tmp_path / "fig1.csv", delimiter=",", skiprows=1)
     assert np.all(np.diff(rows[:, 1]) <= 1e-9)
-    assert np.max(np.diff(rows[:, 1], 2)) <= 1e-6
+    assert _above_tangents(rows) <= 1e-6
+    bumped = rows.copy()
+    bumped[(rows[:, 0] >= 0.3) & (rows[:, 0] <= 0.7), 1] += 1e-3
+    assert _above_tangents(bumped) > 1e-6
     # a binding and a non-binding path dump
     proc = run_cli(["simulate", "--curve", "fig1.csv", "--n-paths", "40",
                     "--n-steps", "400", "--seed", "7",

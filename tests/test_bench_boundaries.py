@@ -61,3 +61,10 @@ def test_annotated_parameters_exist(run):
 
 def test_block_size_is_exposed():
     assert isinstance(targetcost.sim.BLOCK, int)
+
+
+def test_sizing_constants_exist(run):
+    # working_set_bytes returns None once a constant it reads is gone.
+    assert isinstance(targetcost.ode.GRID_DZ, float)
+    assert isinstance(targetcost.ode.DEFAULT_EPSILON, float)
+    assert run.working_set_bytes(run.SIZES["full"]) is not None

@@ -2,9 +2,11 @@ import gc
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from targetcost import cli
+from targetcost.ode import load_curve
 
 from helpers import run_cli, run_python
 
@@ -70,6 +72,32 @@ class TestCalibrate:
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("warning:")
             assert failed in lines[0]
+
+    def test_stored_curve_and_solve_grid_verdict(self, workdir, shot_p2):
+        # The file holds the curve shoot returns, 851 rows at the default
+        # epsilon, and the sidecar the verdict checked on the solve grid.
+        curve, sidecar = load_curve(workdir / "gcurve_p2.csv",
+                                    workdir / "gcurve_p2.json")
+        assert len(curve.ys) == 851
+        for name in ("ys", "gs", "dgs"):
+            assert np.array_equal(getattr(curve, name),
+                                  getattr(shot_p2.curve, name))
+        assert sidecar["invariants"] == {
+            name: [ok, worst] for name, (ok, worst) in shot_p2.invariants.items()}
+
+    @pytest.mark.parametrize("p, stderr", [
+        ("1.01", "lower_bound (worst -9.12e-05)"),
+        ("1.2", "lower_bound (worst -1.58e-05)"),
+        ("5", None),
+        ("7", "ode_residual (worst 1.16e-07)"),
+    ])
+    def test_warnings_come_from_the_solve_grid(self, tmp_path, capsys, p,
+                                               stderr):
+        # On the stored nodes the residual stencil is seven times wider and
+        # reads 4.3e-7 at p = 5, which would warn.
+        assert cli.main(["calibrate", "--p", p, "--out", str(tmp_path / "c")]) == 0
+        expected = "" if stderr is None else f"warning: curve fails invariants: {stderr}\n"
+        assert capsys.readouterr().err == expected
 
     def test_non_numeric_input_names_flag(self, tmp_path):
         proc = run_cli(["calibrate", "--p", "abc"], cwd=tmp_path)

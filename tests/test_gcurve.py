@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from targetcost.errors import CalibrationError, DomainError, UsageError
-from targetcost.normals import Params, std_normal_cdf, std_normal_quantile
-from targetcost.ode import (DEFAULT_EPSILON, GRID_DZ, GCurve, _newton, _snapped,
-                            chord_lower_bound, curve_invariant_report, eval_g,
-                            eval_g_value, load_curve, ode_residuals,
-                            save_curve, shoot, value_function)
+from targetcost.normals import Params, std_normal_cdf
+from targetcost.ode import (DEFAULT_EPSILON, STORE_STRIDE, GCurve, _newton,
+                            _snapped, chord_lower_bound, curve_invariant_report,
+                            eval_g, eval_g_value, eval_g_z, load_curve,
+                            ode_residuals, save_curve, shoot, solve_grid,
+                            value_function)
+from targetcost.verify import _perturbed_curve
 from targetcost.walk import dp_value
 
 from helpers import reference_ivp, reference_write_curve_csv
@@ -33,14 +35,29 @@ class TestIntegrate:
 
     def test_calibrated_pair_meets_boundaries(self, shots_all):
         # The initial-value route from the solved midpoint pair retraces the
-        # whole solved curve, values and slopes, at every node.
+        # whole stored curve, values and slopes, at every stored node.
         for p, res in shots_all.items():
             gs, gzs, exit_ = reference_ivp(p, res.g_mid, res.gamma)
             assert exit_ is None, p
             assert abs(gs[0] - 1.0) <= 1e-3
             assert abs(gs[-1]) <= 1e-3
-            assert np.max(np.abs(gs - res.curve.gs)) <= 1e-9, p
-            assert np.max(np.abs(gzs - res.curve.gzs)) <= 1e-9, p
+            stored = slice(None, None, STORE_STRIDE)
+            assert np.max(np.abs(gs[stored] - res.curve.gs)) <= 1e-9, p
+            assert np.max(np.abs(gzs[stored] - res.curve.gzs)) <= 1e-9, p
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_cell_midpoints_match_ivp(self, shots_all, p):
+        # Halfway between stored nodes, the farthest from the data, the
+        # evaluator still follows the initial-value route.
+        res = shots_all[p]
+        zs = solve_grid(DEFAULT_EPSILON)[::STORE_STRIDE]
+        mids = 0.5 * (zs[:-1] + zs[1:])
+        half = len(mids) // 2
+        gs, _, exit_ = reference_ivp(p, res.g_mid, res.gamma,
+                                     nodes=np.insert(mids, half, 0.0))
+        assert exit_ is None
+        gap = np.abs(eval_g_z(res.curve, mids) - np.delete(gs, half))
+        assert np.max(gap) <= 1e-9
 
     def test_reported_rounded_pair_misses_boundaries(self):
         # The historically reported round pair (0.88, -0.21) integrates
@@ -88,6 +105,21 @@ class TestShoot:
         oracle = dp_value(2000, 1.0, 0.0, 2.0)
         assert abs(shot_p2.g_mid - oracle) <= 0.02
 
+    def test_stored_curve_is_every_seventh_solve_node(self, shot_p2):
+        zs = solve_grid(DEFAULT_EPSILON)
+        curve = shot_p2.curve
+        assert (len(zs), len(curve.ys)) == (5951, 851)
+        assert np.array_equal(curve.ys, std_normal_cdf(zs[::STORE_STRIDE]))
+        assert curve.gs[len(curve.gs) // 2] == shot_p2.g_mid
+        assert all(ok for ok, _ in shot_p2.invariants.values())
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 20.0])
+    def test_thinned_curve_evaluates_like_solve_grid(self, p):
+        full = _solve_grid_kernel(p)
+        levels = np.linspace(1e-5, 1.0 - 1e-5, 20001)
+        gap = np.abs(eval_g(_thinned(full), levels)[0] - eval_g(full, levels)[0])
+        assert np.max(gap) <= 1e-10
+
     def test_midpoint_above_pointwise_lower_bound(self, shots_all):
         for p, res in shots_all.items():
             assert res.g_mid >= 0.5 ** p
@@ -95,9 +127,7 @@ class TestShoot:
     def test_non_monotone_solution_is_rejected(self):
         # Started from cdf(-z) at p = 3, Newton converges to a solution of the
         # same difference equations that dips below 0; it must not be stored.
-        z_edge = -std_normal_quantile(DEFAULT_EPSILON)
-        n_half = round(z_edge / GRID_DZ)
-        zs = z_edge / n_half * np.arange(-n_half, n_half + 1)
+        zs = solve_grid(DEFAULT_EPSILON)
         spurious = _newton(3.0, zs, std_normal_cdf(-zs))
         assert np.min(spurious) < -0.1
         with pytest.raises(CalibrationError):
@@ -141,6 +171,18 @@ class TestCurveInvariants:
         for p, res in shots_all.items():
             curve = res.curve
             assert np.all(curve.gs >= (1.0 - curve.ys) ** p - 1e-6)
+
+    @pytest.mark.parametrize("amp", [0.05, -0.05, 1e-3, -1e-3])
+    @pytest.mark.parametrize("grid", ["solve", "stored"])
+    def test_concavity_catches_bumps(self, solve_grid_p2, grid, amp):
+        # The tangent check is in value units: the true kernel passes on
+        # either grid, and a bump reads its own height on either grid.
+        curve = solve_grid_p2 if grid == "solve" else _thinned(solve_grid_p2)
+        ok, worst = curve_invariant_report(curve)["concave"]
+        assert ok and worst <= 1e-10
+        bumped = _perturbed_curve(curve, amp, 0.3, 0.7)
+        ok, worst = curve_invariant_report(bumped)["concave"]
+        assert not ok and worst >= 0.99 * abs(amp)
 
     def test_chord_concavity_on_triples(self, curve_p2):
         ys, gs = curve_p2.ys, curve_p2.gs
@@ -209,11 +251,9 @@ class TestEvalG:
         assert np.all((gs >= 0.0) & (gs <= 1.0))
 
     def test_analytic_kernel_off_nodes(self):
-        # g = (1 - y)^2 stored on the standard grid uniform in z; between
+        # g = (1 - y)^2 stored on the solve grid, uniform in z; between
         # nodes the value and the derivative must follow the exact kernel.
-        z_edge = -std_normal_quantile(DEFAULT_EPSILON)
-        n_half = round(z_edge / GRID_DZ)
-        zs = z_edge / n_half * np.arange(-n_half, n_half + 1)
+        zs = solve_grid(DEFAULT_EPSILON)
         ys = std_normal_cdf(zs)
         curve = GCurve(p=2.0, ys=ys, gs=(1.0 - ys) ** 2, dgs=-2.0 * (1.0 - ys),
                        epsilon=DEFAULT_EPSILON)
@@ -268,12 +308,31 @@ class TestValueFunction:
 
 
 def _synthetic_curve(epsilon):
-    """g = (1 - y)^2 on the stored z-grid of a curve calibrated at epsilon."""
-    z_edge = -std_normal_quantile(epsilon)
-    n_half = round(z_edge / GRID_DZ)
-    ys = std_normal_cdf(z_edge / n_half * np.arange(-n_half, n_half + 1))
+    """g = (1 - y)^2 on every node of the solve grid at epsilon, the rows
+    a curve file held before curves were thinned to every STORE_STRIDE-th
+    node."""
+    ys = std_normal_cdf(solve_grid(epsilon))
     return GCurve(p=2.0, ys=ys, gs=(1.0 - ys) ** 2, dgs=-2.0 * (1.0 - ys),
                   epsilon=epsilon)
+
+
+def _solve_grid_kernel(p):
+    """The kernel on every node of the solve grid at the default epsilon,
+    from one Newton solve (no Richardson step)."""
+    zs = solve_grid(DEFAULT_EPSILON)
+    return _snapped(p, DEFAULT_EPSILON, zs,
+                    _newton(p, zs, 0.5 - zs / (2.0 * zs[-1])))
+
+
+@pytest.fixture(scope="module")
+def solve_grid_p2():
+    return _solve_grid_kernel(2.0)
+
+
+def _thinned(curve):
+    keep = slice(None, None, STORE_STRIDE)
+    return GCurve(p=curve.p, ys=curve.ys[keep], gs=curve.gs[keep],
+                  dgs=curve.dgs[keep], epsilon=curve.epsilon)
 
 
 class TestSerialization:
@@ -298,13 +357,16 @@ class TestSerialization:
         assert np.array_equal(ode_residuals(loaded), ode_residuals(shot_p2.curve))
         assert curve_invariant_report(loaded) == curve_invariant_report(shot_p2.curve)
 
-    @pytest.mark.parametrize("epsilon", [1e-6, 1e-8])
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-8, DEFAULT_EPSILON])
     def test_small_epsilon_round_trip_evaluates(self, epsilon, tmp_path):
         # Levels near 1 are stored only to ulp(1), which moves the reloaded
-        # grid off uniform by up to about 2e-9 in z at epsilon = 1e-8.
+        # grid off uniform by up to about 2e-9 in z at epsilon = 1e-8.  The
+        # file holds every solve node, as curve files did before thinning
+        # (5951 rows at the default epsilon), and still loads.
         curve = _synthetic_curve(epsilon)
         save_curve(curve, tmp_path / "c.csv", tmp_path / "c.json")
         loaded, _ = load_curve(tmp_path / "c.csv", tmp_path / "c.json")
+        assert len(loaded.ys) == len(solve_grid(epsilon))
         levels = np.linspace(epsilon, 1.0 - epsilon, 2001)
         g, dg = eval_g(loaded, levels)
         assert np.array_equal(g, eval_g(curve, levels)[0])
