@@ -27,8 +27,8 @@ from .errors import (CalibrationError, ResourceError, TargetCostError,
                      UsageError)
 from .normals import CDF_MIN, Params, std_normal_cdf
 from .ode import eval_g, load_curve, save_curve, shoot, value_function
-from .sim import (bsde_residual, dump_path_csv, mc_cost_estimate, nth_path,
-                  run_optimal_control)
+from .sim import (bsde_residual, dump_path_csv, mc_cost_estimate,
+                  recorded_paths)
 from .walk import dp_g_profile, dp_value, save_profile
 from . import expcase, verify
 
@@ -159,9 +159,9 @@ def cmd_simulate(args):
                "feasibility_violations": violations}
     if args.dump_paths:
         os.makedirs(args.dump_paths, exist_ok=True)
-        for i in range(min(args.dump_count, args.n_paths)):
-            path = nth_path(params.T, args.n_steps, args.seed, i)
-            run_optimal_control(curve, params, path)
+        count = min(args.dump_count, args.n_paths)
+        for i, path in enumerate(recorded_paths(curve, params, args.n_steps,
+                                                args.seed, count)):
             with open(os.path.join(args.dump_paths, f"path_{i:04d}.csv"),
                       "w", newline="") as fh:
                 dump_path_csv(path, fh)

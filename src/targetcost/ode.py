@@ -301,15 +301,21 @@ def eval_g_z(curve, z, y=None, *, slope=False):
     z0, inv_dz, coeffs = curve._hermite
     n_cells = len(coeffs)
     u = (z - z0) * inv_dz
-    k = u.astype(np.intp)
-    np.clip(k, 0, n_cells - 1, out=k)
+    # The cell index as a float, so that u - k stays float arithmetic;
+    # fmax and fmin send a NaN to cell 0, where its value stays NaN.
+    k = np.trunc(u)
+    np.fmax(k, 0.0, out=k)
+    np.fmin(k, n_cells - 1, out=k)
     t = u - k
-    a0, a1, a2, a3 = np.take(coeffs, k, axis=0).T
+    a0, a1, a2, a3 = np.take(coeffs, k.astype(np.intp), axis=0).T
     g = ((a3 * t + a2) * t + a1) * t + a0
     gz = ((3.0 * a3 * t + 2.0 * a2) * t + a1) * inv_dz if slope else None
     ys, gs, dgs = curve.ys, curve.gs, curve.dgs
-    for tail, end, bound in ((u < 0.0, 0, 1.0), (u > n_cells, -1, 0.0)):
-        if np.any(tail):
+    # A tail mask is built only where the range of u (NaNs aside) needs it.
+    lo, hi = (np.fmin.reduce(u), np.fmax.reduce(u)) if u.size else (0.0, 0.0)
+    for tail, end, bound in ((u < 0.0 if lo < 0.0 else None, 0, 1.0),
+                             (u > n_cells if hi > n_cells else None, -1, 0.0)):
+        if tail is not None:
             if dgs[end] <= 0.0 and np.clip(gs[end], 0.0, 1.0) == bound:
                 # The line leaves the end at or beyond the bound it runs
                 # toward, so the clamp alone decides and no level is needed.

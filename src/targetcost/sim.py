@@ -15,9 +15,13 @@ expectation as the grid refines).
 Randomness: paths are grouped into fixed blocks of 4096; block b of master
 seed s draws its increment matrix from Philox keyed by the counter pair
 (s, b), and path i occupies row i mod 4096 of its block, so any path can be
-regenerated from (seed, index) alone.  Blocks run serially, one after
-another, so only one block's arrays are alive at a time; aggregation runs
-in path order with exact summation.
+regenerated from (seed, index) alone.  Each block is driven straight from
+its increments, with a running sum in place of a matrix of Brownian values.
+The blocks are driven one after another, in path order, while one helper
+thread draws the next block's increments (the Philox fill, its scaling and
+the copy into step-major order run outside the interpreter lock); so two
+blocks' increments are alive at a time, about 131 MB at 2000 steps.
+Aggregation runs in path order with exact summation.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from .normals import std_normal_cdf
 from .ode import eval_g_z
 
 BLOCK = 4096  # paths per stream block; fixed so layout never affects results
+_RECORD_ROWS = 256  # paths recorded step by step at once, to bound memory
+_DRAW_ELEMS = 1 << 17  # increments drawn per run of rows: 1 MB, cache-sized
 
 
 def _block_rng(seed, block):
@@ -75,26 +81,28 @@ class BsdeResidualStats:
 
 
 def _block_increments(seed, block, rows, n_steps, sqrt_dt):
-    """Increment rows for a whole stream block (leading rows of it)."""
-    out = _block_rng(seed, block).standard_normal((rows, n_steps))
-    out *= sqrt_dt
+    """Increment rows for a whole stream block (leading rows of it).
+
+    The array is in Fortran order, so that one step of every path, the
+    column the drive reads, is contiguous.  The stream fills row after row,
+    so it is drawn in cache-sized runs of rows, each scaled and copied in
+    while it is hot.
+    """
+    rng = _block_rng(seed, block)
+    out = np.empty((rows, n_steps), order="F")
+    run = max(1, _DRAW_ELEMS // n_steps)
+    for r0 in range(0, rows, run):
+        rows_drawn = rng.standard_normal((min(run, rows - r0), n_steps))
+        rows_drawn *= sqrt_dt
+        out[r0:r0 + run] = rows_drawn
     return out
 
 
-def _brownian(seed, i0, i1, n_steps, sqrt_dt):
-    """Increments dW and running values W (W[:, 0] = 0) of the paths with
-    index in [i0, i1), block layout preserved."""
-    pieces = []
-    b0, b1 = i0 // BLOCK, (i1 - 1) // BLOCK
-    for b in range(b0, b1 + 1):
-        lo = max(i0, b * BLOCK) - b * BLOCK
-        hi = min(i1, (b + 1) * BLOCK) - b * BLOCK
-        rows = _block_increments(seed, b, hi, n_steps, sqrt_dt)
-        pieces.append(rows[lo:hi])
-    dW = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-    W = np.zeros((i1 - i0, n_steps + 1))
+def _running_values(dW):
+    """Brownian values W (W[:, 0] = 0) of increment rows dW."""
+    W = np.zeros((dW.shape[0], dW.shape[1] + 1))
     np.cumsum(dW, axis=1, out=W[:, 1:])
-    return dW, W
+    return W
 
 
 def _check_mc(T, n_steps, n_paths):
@@ -114,9 +122,11 @@ def nth_path(T, n_steps, seed, index):
     if index < 0:
         raise DomainError("index must be >= 0")
     times = np.linspace(0.0, T, n_steps + 1)
-    dW, W = _brownian(seed, index, index + 1, n_steps, math.sqrt(T / n_steps))
-    return SimPath(n_steps=int(n_steps), times=times, dW=dW[0], W=W[0],
-                   seed=int(seed))
+    block, row = divmod(index, BLOCK)
+    dW = _block_increments(seed, block, row + 1, n_steps,
+                           math.sqrt(T / n_steps))[row]
+    return SimPath(n_steps=int(n_steps), times=times, dW=dW,
+                   W=_running_values(dW[None, :])[0], seed=int(seed))
 
 
 def _gain(curve, p, zscore, transform=None):
@@ -129,15 +139,17 @@ def _gain(curve, p, zscore, transform=None):
     return gval if expo == 1.0 else gval ** expo
 
 
-def _drive_block(curve, params, times, W, *, record=False, gain_transform=None):
-    """Run the feedback control on a block of paths (rows of W).
+def _drive_block(curve, params, times, dW, *, record=False, gain_transform=None):
+    """Run the feedback control on a block of paths (rows of the increments
+    dW), keeping each path's running Brownian value.
 
     Returns (cost, X_T, violations) plus, when record is set, the full
     (M, u, X, cost_running) arrays.
     """
     p, T, x, c = params.p, params.T, params.x, params.c
     n = len(times) - 1
-    n_paths = W.shape[0]
+    n_paths = dW.shape[0]
+    w = np.zeros(n_paths)  # W at t_k; the same additions np.cumsum makes
     omx = np.full(n_paths, 1.0 - x)  # tracks 1 - X exactly
     cost = np.zeros(n_paths)
     if record:
@@ -149,7 +161,7 @@ def _drive_block(curve, params, times, W, *, record=False, gain_transform=None):
     for k in range(n - 1):
         t_k, t_next = times[k], times[k + 1]
         tau = T - t_k
-        zscore = (c - W[:, k]) / math.sqrt(tau)
+        zscore = (c - w) / math.sqrt(tau)
         kappa = _gain(curve, p, zscore, gain_transform)
         u = kappa * omx / tau
         if record:
@@ -159,15 +171,17 @@ def _drive_block(curve, params, times, W, *, record=False, gain_transform=None):
             c_rec[:, k] = cost
         cost += (u * u if p == 2.0 else u ** p) * (t_next - t_k)
         omx *= np.exp(kappa * math.log((T - t_next) / tau))
+        w += dW[:, k]
 
     # Final step [T - delta, T]: close the gap at constant speed on paths
     # where the realized terminal constraint binds, stand still otherwise.
     delta = times[n] - times[n - 1]
-    bind = W[:, n] > c
+    w_T = w + dW[:, n - 1]
+    bind = w_T > c
     u_last = np.where(bind, omx / delta, 0.0)
     if record:
         t_k = times[n - 1]
-        M_rec[:, n - 1] = std_normal_cdf((c - W[:, n - 1]) / math.sqrt(T - t_k))
+        M_rec[:, n - 1] = std_normal_cdf((c - w) / math.sqrt(T - t_k))
         u_rec[:, n - 1] = u_last
         X_rec[:, n - 1] = 1.0 - omx
         c_rec[:, n - 1] = cost
@@ -178,7 +192,7 @@ def _drive_block(curve, params, times, W, *, record=False, gain_transform=None):
                             | (X_T > 1.0 + 1e-12)))
     if not record:
         return cost, X_T, violations, None
-    M_rec[:, n] = (W[:, n] < c).astype(float)
+    M_rec[:, n] = (w_T < c).astype(float)
     u_rec[:, n] = u_last
     X_rec[:, n] = X_T
     c_rec[:, n] = cost
@@ -192,14 +206,58 @@ def run_optimal_control(curve, params, path):
         raise UsageError(
             f"path horizon {path.times[-1]} does not match params.T={params.T}")
     _, _, violations, rec = _drive_block(
-        curve, params, path.times, path.W[None, :], record=True)
+        curve, params, path.times, path.dW[None, :], record=True)
     M_rec, u_rec, X_rec, c_rec = rec
     path.M, path.u, path.X, path.cost = M_rec[0], u_rec[0], X_rec[0], c_rec[0]
     return path
 
 
-def _run_blocks(worker, n_paths):
-    return [worker(i, min(i + BLOCK, n_paths)) for i in range(0, n_paths, BLOCK)]
+def recorded_paths(curve, params, n_steps, seed, count):
+    """Filled paths 0, 1, ..., count - 1 of the stream layout, in order:
+    what nth_path and run_optimal_control give path by path, from one draw
+    of each block's leading rows."""
+    params = curve.check_params(params)
+    _check_mc(params.T, n_steps, 1)
+    times = np.linspace(0.0, params.T, n_steps + 1)
+    sqrt_dt = math.sqrt(params.T / n_steps)
+    for i0 in range(0, count, BLOCK):
+        block = _block_increments(seed, i0 // BLOCK, min(BLOCK, count - i0),
+                                  n_steps, sqrt_dt)
+        for r0 in range(0, len(block), _RECORD_ROWS):
+            dW = block[r0:r0 + _RECORD_ROWS]
+            W = _running_values(dW)
+            _, _, _, (M, u, X, cost) = _drive_block(curve, params, times, dW,
+                                                    record=True)
+            for j in range(len(dW)):
+                yield SimPath(n_steps=int(n_steps), times=times, dW=dW[j],
+                              W=W[j], seed=int(seed), M=M[j], u=u[j], X=X[j],
+                              cost=cost[j])
+
+
+def _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt):
+    """[worker(dW) for each block's increments dW], in path order.
+
+    While the caller runs the worker on one block, a helper thread draws
+    the next block's increments; the helper is joined before this returns
+    or raises.
+    """
+    # Imported here, so that commands which draw no paths do not pay for it
+    # at start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    def draw(i0):
+        return _block_increments(seed, i0 // BLOCK, min(BLOCK, n_paths - i0),
+                                 n_steps, sqrt_dt)
+
+    results = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        upcoming = helper.submit(draw, 0)
+        for i0 in range(0, n_paths, BLOCK):
+            dW = upcoming.result()
+            if i0 + BLOCK < n_paths:
+                upcoming = helper.submit(draw, i0 + BLOCK)
+            results.append(worker(dW))
+    return results
 
 
 def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
@@ -207,8 +265,8 @@ def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
     """Sample mean and standard error of the per-path realized cost.
 
     Deterministic given the seed: path i is row i mod BLOCK of stream block
-    i // BLOCK, the blocks run one after another, and their costs are
-    reduced in path order with exact summation.
+    i // BLOCK, the blocks are driven one after another, and their costs
+    are reduced in path order with exact summation.
     Also returns the feasibility violation count as third element, and the
     per-path costs in path order as a fourth when return_costs is set.
     """
@@ -217,13 +275,12 @@ def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
     times = np.linspace(0.0, params.T, n_steps + 1)
     sqrt_dt = math.sqrt(params.T / n_steps)
 
-    def worker(i0, i1):
-        _dW, W = _brownian(seed, i0, i1, n_steps, sqrt_dt)
+    def worker(dW):
         cost, _xt, violations, _ = _drive_block(
-            curve, params, times, W, gain_transform=gain_transform)
+            curve, params, times, dW, gain_transform=gain_transform)
         return cost, violations
 
-    results = _run_blocks(worker, n_paths)
+    results = _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt)
     costs = np.concatenate([r[0] for r in results])
     violations = sum(r[1] for r in results)
     mean = math.fsum(costs) / n_paths
@@ -264,14 +321,15 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
         gval, gz = eval_g_z(curve, (c - w_col) / math.sqrt(tau), slope=True)
         return gval / tau ** (p - 1.0), -gz / tau ** (p - 0.5)
 
-    def worker(i0, i1):
-        dW, W = _brownian(seed, i0, i1, n_steps, sqrt_dt)
-        path_sum = np.zeros(i1 - i0)
+    def worker(dW):
+        w = np.zeros(dW.shape[0])  # running W: the additions np.cumsum makes
+        path_sum = np.zeros(dW.shape[0])
         sq_sum = 0.0
         z_min = math.inf
-        y_k, z_k = y_and_z(times[0], W[:, 0])
+        y_k, z_k = y_and_z(times[0], w)
         for k in range(k_end):
-            y_next, z_next = y_and_z(times[k + 1], W[:, k + 1])
+            w += dW[:, k]
+            y_next, z_next = y_and_z(times[k + 1], w)
             r = (y_next - y_k) - (p - 1.0) * y_k ** expo * dt - z_k * dW[:, k]
             path_sum += r
             sq_sum += float(np.dot(r, r))
@@ -279,7 +337,7 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
             y_k, z_k = y_next, z_next
         return path_sum, sq_sum, z_min
 
-    results = _run_blocks(worker, n_paths)
+    results = _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt)
     per_path_mean = np.concatenate([r[0] for r in results]) / k_end
     sq_total = math.fsum(r[1] for r in results)
     z_min = min(r[2] for r in results)

@@ -14,6 +14,12 @@ package's one-pass writer must reproduce.
 inner_min (the Bellman split with its minimizer) and refinement_gap are
 test-only wrappers: they call walk._bellman_min and walk.dp_value, so the
 tests that use them check the package's own lattice code.
+
+reference_brownian, reference_drive_block and reference_eval_g_z are the
+Monte Carlo path generator, feedback drive and kernel evaluator as they were
+before the simulator drove each block from its increments: a matrix of
+Brownian values built by np.cumsum, and the evaluator's integer cell index.
+The package's versions must match them bit for bit.
 """
 
 import csv
@@ -27,8 +33,9 @@ import numpy as np
 
 import targetcost
 from targetcost.errors import DomainError
+from targetcost.normals import std_normal_cdf, std_normal_pdf
 from targetcost.ode import DEFAULT_EPSILON, eval_g_z, solve_grid
-from targetcost.sim import _brownian, _gain
+from targetcost.sim import BLOCK, BsdeResidualStats, _block_increments, _gain
 from targetcost.walk import _bellman_min, dp_value
 
 # The directory holding the package this test process imported.  Putting it
@@ -192,7 +199,8 @@ def terminal_blowup_medians(curve, p, T, c, n_paths, n_steps, deltas, seed):
     """Median of Y = g / (T-t)^{p-1} at T - delta, separately on binding and
     non-binding paths of the Monte Carlo stream layout."""
     times = np.linspace(0.0, T, n_steps + 1)
-    _dW, W = _brownian(seed, 0, n_paths, n_steps, math.sqrt(T / n_steps))
+    _dW, W = reference_brownian(seed, 0, n_paths, n_steps,
+                                math.sqrt(T / n_steps))
     bind = W[:, -1] > c
     out = {}
     for delta in deltas:
@@ -203,6 +211,124 @@ def terminal_blowup_medians(curve, p, T, c, n_paths, n_steps, deltas, seed):
         out[float(delta)] = (float(np.median(y[bind])),
                             float(np.median(y[~bind])))
     return out
+
+
+def reference_brownian(seed, i0, i1, n_steps, sqrt_dt):
+    """Increments dW and running values W (W[:, 0] = 0) of the paths with
+    index in [i0, i1), block layout preserved."""
+    pieces = []
+    b0, b1 = i0 // BLOCK, (i1 - 1) // BLOCK
+    for b in range(b0, b1 + 1):
+        lo = max(i0, b * BLOCK) - b * BLOCK
+        hi = min(i1, (b + 1) * BLOCK) - b * BLOCK
+        rows = _block_increments(seed, b, hi, n_steps, sqrt_dt)
+        pieces.append(rows[lo:hi])
+    dW = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    W = np.zeros((i1 - i0, n_steps + 1))
+    np.cumsum(dW, axis=1, out=W[:, 1:])
+    return dW, W
+
+
+def reference_drive_block(curve, params, times, W, gain_transform=None):
+    """Per-path cost and violation count of the feedback control on the
+    rows of the Brownian-value matrix W."""
+    p, T, x, c = params.p, params.T, params.x, params.c
+    n = len(times) - 1
+    omx = np.full(W.shape[0], 1.0 - x)
+    cost = np.zeros(W.shape[0])
+    for k in range(n - 1):
+        t_k, t_next = times[k], times[k + 1]
+        tau = T - t_k
+        kappa = _gain(curve, p, (c - W[:, k]) / math.sqrt(tau), gain_transform)
+        u = kappa * omx / tau
+        cost += (u * u if p == 2.0 else u ** p) * (t_next - t_k)
+        omx *= np.exp(kappa * math.log((T - t_next) / tau))
+    delta = times[n] - times[n - 1]
+    bind = W[:, n] > c
+    u_last = np.where(bind, omx / delta, 0.0)
+    cost += u_last ** p * delta
+    X_T = np.where(bind, 1.0, 1.0 - omx)
+    violations = int(np.sum((X_T + 1e-12 < bind.astype(float))
+                            | (X_T > 1.0 + 1e-12)))
+    return cost, violations
+
+
+def reference_mc_costs(curve, params, n_paths, n_steps, seed,
+                       gain_transform=None):
+    """Per-path costs and the violation count, one block at a time."""
+    times = np.linspace(0.0, params.T, n_steps + 1)
+    sqrt_dt = math.sqrt(params.T / n_steps)
+    costs, violations = [], 0
+    for i0 in range(0, n_paths, BLOCK):
+        _dW, W = reference_brownian(seed, i0, min(i0 + BLOCK, n_paths),
+                                    n_steps, sqrt_dt)
+        cost, viol = reference_drive_block(curve, params, times, W,
+                                           gain_transform)
+        costs.append(cost)
+        violations += viol
+    return np.concatenate(costs), violations
+
+
+def reference_bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
+    """bsde_residual's statistics from the Brownian-value matrix of each
+    block."""
+    times = np.linspace(0.0, T, n_steps + 1)
+    dt = T / n_steps
+    k_end = int(np.searchsorted(times, T - delta + 1e-12)) - 1
+    expo = p / (p - 1.0)
+
+    def y_and_z(t, w_col):
+        tau = T - t
+        gval, gz = eval_g_z(curve, (c - w_col) / math.sqrt(tau), slope=True)
+        return gval / tau ** (p - 1.0), -gz / tau ** (p - 0.5)
+
+    sums, sq_sums, z_min = [], [], math.inf
+    for i0 in range(0, n_paths, BLOCK):
+        dW, W = reference_brownian(seed, i0, min(i0 + BLOCK, n_paths), n_steps,
+                                   math.sqrt(dt))
+        path_sum, sq_sum = np.zeros(len(dW)), 0.0
+        y_k, z_k = y_and_z(times[0], W[:, 0])
+        for k in range(k_end):
+            y_next, z_next = y_and_z(times[k + 1], W[:, k + 1])
+            r = (y_next - y_k) - (p - 1.0) * y_k ** expo * dt - z_k * dW[:, k]
+            path_sum += r
+            sq_sum += float(np.dot(r, r))
+            z_min = min(z_min, float(np.min(z_k)))
+            y_k, z_k = y_next, z_next
+        sums.append(path_sum)
+        sq_sums.append(sq_sum)
+    per_path_mean = np.concatenate(sums) / k_end
+    mean = math.fsum(per_path_mean) / n_paths
+    var = math.fsum((per_path_mean - mean) ** 2) / max(n_paths - 1, 1)
+    return BsdeResidualStats(
+        n_paths=n_paths, n_steps=n_steps, delta=float(delta),
+        mean_residual=mean, stderr=math.sqrt(var / n_paths),
+        rms_residual=math.sqrt(math.fsum(sq_sums) / (n_paths * k_end)),
+        z_min=z_min, window_steps=k_end)
+
+
+def reference_eval_g_z(curve, z, y=None, *, slope=False):
+    """eval_g_z with the cell index taken as an integer and clipped."""
+    z0, inv_dz, coeffs = curve._hermite
+    n_cells = len(coeffs)
+    u = (z - z0) * inv_dz
+    k = u.astype(np.intp)
+    np.clip(k, 0, n_cells - 1, out=k)
+    t = u - k
+    a0, a1, a2, a3 = np.take(coeffs, k, axis=0).T
+    g = ((a3 * t + a2) * t + a1) * t + a0
+    gz = ((3.0 * a3 * t + 2.0 * a2) * t + a1) * inv_dz if slope else None
+    ys, gs, dgs = curve.ys, curve.gs, curve.dgs
+    for tail, end, bound in ((u < 0.0, 0, 1.0), (u > n_cells, -1, 0.0)):
+        if np.any(tail):
+            if dgs[end] <= 0.0 and np.clip(gs[end], 0.0, 1.0) == bound:
+                g[tail] = bound
+            else:
+                yt = std_normal_cdf(z[tail]) if y is None else y[tail]
+                g[tail] = np.clip(gs[end] + dgs[end] * (yt - ys[end]), 0.0, 1.0)
+            if slope:
+                gz[tail] = dgs[end] * std_normal_pdf(z[tail])
+    return (g, gz) if slope else g
 
 
 def reference_write_curve_csv(curve, csv_path):

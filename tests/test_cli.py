@@ -1,12 +1,16 @@
 import gc
+import io
 import json
 import shutil
+import threading
 
 import numpy as np
 import pytest
 
 from targetcost import cli
+from targetcost.normals import Params
 from targetcost.ode import load_curve
+from targetcost.sim import BLOCK, dump_path_csv, nth_path, run_optimal_control
 
 from helpers import run_cli, run_python
 
@@ -239,6 +243,33 @@ class TestSimulate:
         assert (workdir / "paths" / "path_0000.csv").read_bytes() == dump0
         assert first.stdout == second.stdout
 
+    @pytest.mark.parametrize("count", [0, 1, 5, BLOCK + 3])
+    def test_dump_matches_path_by_path(self, workdir, tmp_path, monkeypatch,
+                                       capsys, count):
+        # One draw per block and chunked recording write the bytes that
+        # nth_path and run_optimal_control write one path at a time; the
+        # command leaves no thread running and prints only its summary.
+        monkeypatch.chdir(workdir)
+        before = threading.active_count()
+        argv = ["simulate", "--n-paths", str(BLOCK + 10), "--n-steps", "4",
+                "--seed", "6", "--x", "0.2", "--c", "0.1",
+                "--dump-paths", str(tmp_path / "dd"),
+                "--dump-count", str(count)]
+        assert cli.main(argv) == 0
+        assert threading.active_count() == before
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 1
+        curve, _ = load_curve("gcurve_p2.csv", "gcurve_p2.json")
+        params = Params(2.0, 1.0, 0.2, 0.1)
+        written = sorted(path.name for path in (tmp_path / "dd").iterdir())
+        assert written == [f"path_{i:04d}.csv" for i in range(count)]
+        for i in range(count):
+            buf = io.StringIO(newline="")
+            dump_path_csv(run_optimal_control(curve, params,
+                                              nth_path(1.0, 4, 6, i)), buf)
+            assert ((tmp_path / "dd" / f"path_{i:04d}.csv").read_bytes()
+                    == buf.getvalue().encode()), i
+
     def test_seed_env_override(self, workdir):
         args = ["simulate", "--curve", "gcurve_p2.csv", "--n-paths", "64",
                 "--n-steps", "50"]
@@ -268,7 +299,7 @@ class TestSimulate:
         assert not (tmp_path / "dd").exists()
 
     def test_threads_is_not_an_option(self, workdir, tmp_path):
-        # Monte Carlo runs serially; neither the flag nor a config key exists.
+        # There is no thread-count option: neither the flag nor a config key.
         args = ["simulate", "--curve", "gcurve_p2.csv", "--n-paths", "64",
                 "--n-steps", "50"]
         proc = run_cli(args + ["--threads", "2"], cwd=workdir)

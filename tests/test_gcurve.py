@@ -16,7 +16,8 @@ from targetcost.ode import (DEFAULT_EPSILON, STORE_STRIDE, GCurve, _newton,
 from targetcost.verify import _perturbed_curve
 from targetcost.walk import dp_value
 
-from helpers import reference_ivp, reference_write_curve_csv
+from helpers import (reference_eval_g_z, reference_ivp,
+                     reference_write_curve_csv)
 
 # Values the calibration must reproduce, pinned from two independent
 # routes: the random-walk program (midpoint value 0.8687 +- 0.001 after
@@ -226,6 +227,38 @@ class TestEvalG:
             g, dg = eval_g(curve_p2, float(curve_p2.ys[k]))
             assert g == curve_p2.gs[k]
             assert dg == curve_p2.dgs[k]
+
+    @pytest.mark.parametrize("which", [1.5, 2.0, 3.0, "eps1e-8", "off_bound"])
+    def test_eval_g_z_matches_integer_cell_index(self, shots_all, which):
+        # Bit for bit the evaluator with an integer cell index: inside, on
+        # every node, in both tails and, where the caller passes the levels
+        # (so no cdf is taken), at NaN and +-inf.
+        if which == "eps1e-8":
+            curve = shoot(2.0, epsilon=1e-8).curve
+        elif which == "off_bound":
+            curve = _synthetic_curve(1e-8)  # ends off the bounds: cdf branch
+        else:
+            curve = shots_all[which].curve
+        rng = np.random.default_rng(3)
+        # Points just past each end, alone, so that the range of u, not
+        # far tails, decides whether that end's mask is built.
+        near_ends = np.array([curve.zs[0] - 1e-9, curve.zs[-1] + 1e-9,
+                              curve.zs[-1] + 1e-3])
+        finite = np.concatenate((rng.uniform(-12.0, 12.0, 300_000), curve.zs,
+                                 near_ends))
+        z = np.concatenate((finite, [np.nan, np.inf, -np.inf, 0.0]))
+        y = std_normal_cdf(np.clip(np.nan_to_num(z), -8.0, 8.0))
+        cases = [(points, {"slope": slope}) for points in (finite, near_ends)
+                 for slope in (False, True)]
+        cases += [(z, {"y": y}), (z, {"y": y, "slope": True})]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for points, kwargs in cases:
+                new = eval_g_z(curve, points, **kwargs)
+                old = reference_eval_g_z(curve, points, **kwargs)
+                if not kwargs.get("slope"):
+                    new, old = (new,), (old,)
+                for a, b in zip(new, old):
+                    assert np.array_equal(a, b, equal_nan=True)
 
     def test_midpoint_value(self, shot_p2):
         g, _ = eval_g(shot_p2.curve, 0.5)

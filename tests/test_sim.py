@@ -1,5 +1,6 @@
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ import pytest
 from targetcost.errors import DomainError, UsageError
 from targetcost.normals import Params
 from targetcost.sim import (BLOCK, bsde_residual, dump_path_csv,
-                            mc_cost_estimate, nth_path, run_optimal_control,
-                            _block_increments)
+                            mc_cost_estimate, nth_path, recorded_paths,
+                            run_optimal_control, _block_increments)
+from targetcost.verify import _bump_transform
 from targetcost.walk import dp_value
 
-from helpers import exponential_form_control, terminal_blowup_medians
+from helpers import (exponential_form_control, reference_bsde_residual,
+                     reference_mc_costs, terminal_blowup_medians)
 
 PARAMS = Params(2.0, 1.0, 0.0, 0.0)
 
@@ -179,6 +182,73 @@ class TestMcCost:
             se_d = float(diff.std(ddof=1)) / math.sqrt(len(diff))
             assert viol == 0
             assert gap > 3.0 * se_d
+
+
+class TestBlockStream:
+    """Blocks driven from their increments, the next one drawn on a helper
+    thread, give the per-path costs of the Brownian-value matrix bit for
+    bit and leave no thread behind."""
+
+    @pytest.mark.parametrize("bump", [False, True])
+    @pytest.mark.parametrize("n_paths", [1, 7, BLOCK, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_costs_match_brownian_matrix(self, shots_all, p, n_paths, bump):
+        curve = shots_all[p].curve
+        params = Params(p, 1.0, 0.1, 0.2)
+        tf = _bump_transform(0.05, 0.3, 0.7) if bump else None
+        *_, viol, costs = mc_cost_estimate(curve, params, n_paths, 30, 5,
+                                           gain_transform=tf,
+                                           return_costs=True)
+        ref_costs, ref_viol = reference_mc_costs(curve, params, n_paths, 30, 5,
+                                                 gain_transform=tf)
+        assert np.array_equal(costs, ref_costs)
+        assert viol == ref_viol
+
+    def test_bsde_residual_matches_brownian_matrix(self, curve_p2):
+        args = (curve_p2, 2.0, 1.0, 0.0, 2 * BLOCK - 5, 40, 0.3, 3)
+        assert bsde_residual(*args) == reference_bsde_residual(*args)
+
+    def test_recorded_paths_match_path_by_path(self, shots_all):
+        # Chunks of recorded rows across a block boundary give what nth_path
+        # and run_optimal_control give one path at a time.
+        curve = shots_all[3.0].curve
+        params = Params(3.0, 2.0, 0.3, 0.2)
+        index = {0, 255, 256, BLOCK - 1, BLOCK, BLOCK + 2}
+        for i, path in enumerate(recorded_paths(curve, params, 6, 8, BLOCK + 3)):
+            if i in index:
+                ref = run_optimal_control(curve, params, nth_path(2.0, 6, 8, i))
+                for name in ("times", "dW", "W", "M", "u", "X", "cost"):
+                    assert np.array_equal(getattr(path, name),
+                                          getattr(ref, name)), (i, name)
+        assert i == BLOCK + 2
+
+    def test_one_helper_thread_joined_on_return(self, curve_p2):
+        before, seen = threading.active_count(), []
+
+        def counts_threads(m, g):
+            seen.append(threading.active_count())
+            return g
+
+        mc_cost_estimate(curve_p2, PARAMS, 2 * BLOCK + 1, 10, 1,
+                         gain_transform=counts_threads)
+        assert max(seen) == before + 1
+        assert threading.active_count() == before
+
+    def test_error_on_second_block_propagates_and_joins(self, curve_p2):
+        n_steps, calls = 10, []
+
+        def fails_on_second_block(m, g):
+            calls.append(1)
+            if len(calls) == n_steps:  # the first step of block 1
+                raise RuntimeError("gain transform failed")
+            return g
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="gain transform failed"):
+            mc_cost_estimate(curve_p2, PARAMS, 3 * BLOCK, n_steps, 1,
+                             gain_transform=fails_on_second_block)
+        assert len(calls) == n_steps
+        assert threading.active_count() == before
 
 
 class TestMcArguments:
