@@ -18,8 +18,8 @@ from .expcase import (DualityWitness, duality_bound, duality_gap,
                       exp_optimal_control, exp_value, witness_sequence)
 from .normals import Params, std_normal_cdf, std_normal_pdf, std_normal_quantile
 from .ode import (GCurve, ShootingResult, chord_lower_bound, eval_g,
-                  eval_g_value, load_curve, ode_residuals, save_curve, shoot,
-                  value_function)
+                  eval_g_value, load_curve, ode_residuals, policy_cost,
+                  save_curve, shoot, value_function)
 from .sim import (BsdeResidualStats, SimPath, bsde_residual, mc_cost_estimate,
                   nth_path, run_optimal_control)
 from .verify import run_verification

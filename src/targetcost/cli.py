@@ -202,11 +202,7 @@ def cmd_expcase(args):
 
 
 def cmd_verify(args):
-    g_bump = None
-    if args.perturb_g:
-        g_bump = (args.perturb_g, 0.3, 0.7)
-    report = verify.run_verification(args.budget, seed=args.seed,
-                                     g_bump=g_bump)
+    report = verify.run_verification(args.budget, seed=args.seed)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -294,9 +290,6 @@ def build_parser():
         ("--budget", dict(choices=("full", "quick"), default="full")),
         ("--seed", dict(type=int, default=None)),
         ("--report", dict(default="", help="JSON report path")),
-        ("--perturb-g", dict(type=float, default=0.0,
-                             help="test hook: bump the kernel before the "
-                                  "backward-identity suite")),
     ])
     return parser
 

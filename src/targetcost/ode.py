@@ -38,15 +38,19 @@ midpoint pair, SciPy's DOP853 integrates outward onto the solve grid.
 Curves store (y, g, dg/dy) on a grid uniform in z and serialize to CSV plus
 a JSON sidecar.  The quantile-coordinate nodes zs and slopes gzs are
 derived from the stored levels, so a fresh curve and its reload are the
-same data.  The CSV is a `y,g,dg` header and one row per node, each number
-written with 17 significant digits (so a reload is bit-identical) and each
-row ending in \\r\\n; save_curve streams the rows through one format
-string and load_curve parses the whole body with one np.loadtxt, so neither
-loops over rows in Python.  load_curve takes any uniform-in-z grid, so a
-file of every solve node, as written before curves were thinned, loads and
-evaluates too.  Every kernel lookup goes through one evaluator, eval_g_z:
-the cubic Hermite interpolant in z through the stored values and slopes
-g_z = dg/dy * pdf(z).
+same data (save_curve writes 17 significant digits).  load_curve takes
+any uniform-in-z grid, so a file of every solve node, as written before
+curves were thinned, loads and evaluates too.  Every kernel lookup goes
+through one evaluator, eval_g_z: the cubic Hermite interpolant in z
+through the stored values and slopes g_z = dg/dy * pdf(z).
+
+policy_cost scores a curve as the feedback u = kappa (1 - X) / (T - t),
+kappa = max(g, 0)^{1/(p-1)}.  The z-score (c - W) / sqrt(T - t) is an
+Ornstein-Uhlenbeck process on the clock log(T / (T - t)), so by Feynman-Kac
+(Fleming & Soner 2006, ch. IV) the cost-to-go is (1 - X)^p (T - t)^{1-p}
+phi(z), phi'' + z phi' + 2 (p - 1 - p kappa) phi + 2 kappa^p = 0 with
+phi(-inf) = 1, phi(+inf) = 0: at the exact kernel the kernel ODE, so
+phi = g.  It is linear, so _newton solves it in one step.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -72,6 +76,7 @@ GRID_DZ = 1.25e-3
 # The stored curve keeps every STORE_STRIDE-th solve node (8.75e-3 in z),
 # all the evaluator needs (see above).
 STORE_STRIDE = 7
+POLICY_DZ = 2e-3
 
 _MAX_NEWTON = 50
 # One curve CSV row: what csv.writer writes for the three fields at 17 digits.
@@ -164,20 +169,26 @@ class ShootingResult:
     invariants: dict
 
 
-def _newton(p, zs, g):
-    """Solve the central-difference equations of
-    g_zz + z g_z + 2 (p - 1) (g - g^{p/(p-1)}) = 0 on the uniform nodes zs
-    by Newton's method, holding the end values of the start g fixed.
+def _kernel_reaction(p, g):
+    """(f, f') of the kernel ODE's term f(g) = 2 (p - 1) (g - g^{p/(p-1)})."""
+    expo, two_pm1 = p / (p - 1.0), 2.0 * (p - 1.0)
+    pos = np.maximum(g, 0.0)
+    return (two_pm1 * (g - pos ** expo),
+            two_pm1 * (1.0 - expo * pos ** (expo - 1.0)))
+
+
+def _newton(p, zs, g, reaction):
+    """Solve the central-difference equations of g_zz + z g_z + f(g) = 0,
+    reaction(g) = (f(g), f'(g)), on the uniform nodes zs by Newton's method,
+    holding the end values of the start g fixed.
 
     Each step is one tridiagonal solve; iteration stops once no node moves
-    by more than 1e-10.  Raises CalibrationError when that does not happen
-    within _MAX_NEWTON steps.
+    by more than 1e-10, so a linear f takes one step and one to confirm it.
+    Raises CalibrationError when that does not happen in _MAX_NEWTON steps.
     """
     # Imported here so that only the commands that calibrate load SciPy.
     from scipy.linalg import solve_banded
 
-    expo = p / (p - 1.0)
-    two_pm1 = 2.0 * (p - 1.0)
     h = zs[1] - zs[0]
     zi = zs[1:-1]
     band = np.zeros((3, len(zi)))
@@ -186,11 +197,10 @@ def _newton(p, zs, g):
     g = np.array(g, dtype=float)
     for _ in range(_MAX_NEWTON):
         gi = g[1:-1]
-        pos = np.maximum(gi, 0.0)
+        f, band[1] = reaction(gi)
+        band[1] -= 2.0 / h ** 2
         resid = ((g[2:] - 2.0 * gi + g[:-2]) / h ** 2
-                 + zi * (g[2:] - g[:-2]) / (2.0 * h)
-                 + two_pm1 * (gi - pos ** expo))
-        band[1] = -2.0 / h ** 2 + two_pm1 * (1.0 - expo * pos ** (expo - 1.0))
+                 + zi * (g[2:] - g[:-2]) / (2.0 * h) + f)
         step = solve_banded((1, 1), band, resid)
         g[1:-1] -= step
         if not np.all(np.isfinite(g)):
@@ -262,9 +272,10 @@ def shoot(p, epsilon=DEFAULT_EPSILON, boundary_tol=DEFAULT_BOUNDARY_TOL):
         raise DomainError("boundary_tol must lie in (0, 0.5)")
     zs = solve_grid(epsilon)
     n_half = len(zs) // 2
-    coarse = _newton(p, zs, 0.5 - zs / (2.0 * zs[-1]))
+    reaction = partial(_kernel_reaction, p)
+    coarse = _newton(p, zs, 0.5 - zs / (2.0 * zs[-1]), reaction)
     fine_zs = solve_grid(epsilon, refine=2)
-    fine = _newton(p, fine_zs, np.interp(fine_zs, zs, coarse))
+    fine = _newton(p, fine_zs, np.interp(fine_zs, zs, coarse), reaction)
     solved = _snapped(p, epsilon, zs, (4.0 * fine[::2] - coarse) / 3.0)
     g_mid = float(solved.gs[n_half])
     gamma = float(solved.gzs[n_half]) * math.sqrt(2.0 * math.pi)
@@ -283,6 +294,32 @@ def shoot(p, epsilon=DEFAULT_EPSILON, boundary_tol=DEFAULT_BOUNDARY_TOL):
                    epsilon=solved.epsilon)
     return ShootingResult(g_mid=g_mid, gamma=gamma, curve=curve,
                           invariants=curve_invariant_report(solved))
+
+
+def policy_cost(curve):
+    """(phi(0), error bar, valid): the exact cost at c = 0, per unit
+    (1 - x)^p / T^{p-1}, of the curve's feedback (module docstring).
+
+    phi is solved on [-8, max(8, sqrt(2p - 3) + 8)], past the peak of the
+    right tail mode z^{2p-3} e^{-z^2/2}, at step POLICY_DZ and half of it:
+    phi(0) is their Richardson value, the bar a third of their gap.  Where
+    kappa < (p - 1) / p the discrete phi need not stay positive; valid
+    means phi >= 0 on both grids, else phi(0) is no expected cost.
+    """
+    p = curve.p
+    n_left = round(8.0 / POLICY_DZ)
+    n_right = round((8.0 + math.sqrt(max(2.0 * p - 3.0, 0.0))) / POLICY_DZ)
+    values, valid = [], True
+    for refine in (1, 2):
+        zs = POLICY_DZ / refine * np.arange(-refine * n_left, refine * n_right + 1)
+        kappa = np.maximum(eval_g_z(curve, zs[1:-1]), 0.0) ** (1.0 / (p - 1.0))
+        rate, source = 2.0 * (p - 1.0 - p * kappa), 2.0 * kappa ** p
+        phi = _newton(p, zs, (zs[-1] - zs) / (zs[-1] - zs[0]),
+                      lambda g: (rate * g + source, rate))
+        values.append(float(phi[refine * n_left]))
+        valid &= bool(np.min(phi) >= 0.0)
+    coarse, fine = values
+    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0, valid
 
 
 def eval_g_z(curve, z, y=None, *, slope=False):

@@ -98,13 +98,6 @@ def _block_increments(seed, block, rows, n_steps, sqrt_dt):
     return out
 
 
-def _running_values(dW):
-    """Brownian values W (W[:, 0] = 0) of increment rows dW."""
-    W = np.zeros((dW.shape[0], dW.shape[1] + 1))
-    np.cumsum(dW, axis=1, out=W[:, 1:])
-    return W
-
-
 def _check_mc(T, n_steps, n_paths):
     """The arguments every path generator takes: a finite horizon T > 0,
     an integer step count >= 2 and an integer path count >= 1."""
@@ -126,25 +119,22 @@ def nth_path(T, n_steps, seed, index):
     dW = _block_increments(seed, block, row + 1, n_steps,
                            math.sqrt(T / n_steps))[row]
     return SimPath(n_steps=int(n_steps), times=times, dW=dW,
-                   W=_running_values(dW[None, :])[0], seed=int(seed))
+                   W=np.concatenate(([0.0], np.cumsum(dW))), seed=int(seed))
 
 
-def _gain(curve, p, zscore, transform=None):
-    """Feedback gain g(M)^{1/(p-1)} at the level M = cdf(zscore); the
-    transform, when given, maps (M, g) to the g actually used."""
+def _gain(curve, p, zscore):
+    """Feedback gain g(M)^{1/(p-1)} at the level M = cdf(zscore)."""
     gval = eval_g_z(curve, zscore)
-    if transform is not None:
-        gval = transform(std_normal_cdf(zscore), gval)
     expo = 1.0 / (p - 1.0)
     return gval if expo == 1.0 else gval ** expo
 
 
-def _drive_block(curve, params, times, dW, *, record=False, gain_transform=None):
+def _drive_block(curve, params, times, dW, *, record=False):
     """Run the feedback control on a block of paths (rows of the increments
     dW), keeping each path's running Brownian value.
 
     Returns (cost, X_T, violations) plus, when record is set, the full
-    (M, u, X, cost_running) arrays.
+    (W, M, u, X, cost_running) arrays.
     """
     p, T, x, c = params.p, params.T, params.x, params.c
     n = len(times) - 1
@@ -153,6 +143,7 @@ def _drive_block(curve, params, times, dW, *, record=False, gain_transform=None)
     omx = np.full(n_paths, 1.0 - x)  # tracks 1 - X exactly
     cost = np.zeros(n_paths)
     if record:
+        W_rec = np.empty((n_paths, n + 1))
         M_rec = np.empty((n_paths, n + 1))
         u_rec = np.empty((n_paths, n + 1))
         X_rec = np.empty((n_paths, n + 1))
@@ -162,9 +153,10 @@ def _drive_block(curve, params, times, dW, *, record=False, gain_transform=None)
         t_k, t_next = times[k], times[k + 1]
         tau = T - t_k
         zscore = (c - w) / math.sqrt(tau)
-        kappa = _gain(curve, p, zscore, gain_transform)
+        kappa = _gain(curve, p, zscore)
         u = kappa * omx / tau
         if record:
+            W_rec[:, k] = w
             M_rec[:, k] = std_normal_cdf(zscore)
             u_rec[:, k] = u
             X_rec[:, k] = 1.0 - omx
@@ -181,6 +173,7 @@ def _drive_block(curve, params, times, dW, *, record=False, gain_transform=None)
     u_last = np.where(bind, omx / delta, 0.0)
     if record:
         t_k = times[n - 1]
+        W_rec[:, n - 1] = w
         M_rec[:, n - 1] = std_normal_cdf((c - w) / math.sqrt(T - t_k))
         u_rec[:, n - 1] = u_last
         X_rec[:, n - 1] = 1.0 - omx
@@ -192,11 +185,12 @@ def _drive_block(curve, params, times, dW, *, record=False, gain_transform=None)
                             | (X_T > 1.0 + 1e-12)))
     if not record:
         return cost, X_T, violations, None
+    W_rec[:, n] = w_T
     M_rec[:, n] = (w_T < c).astype(float)
     u_rec[:, n] = u_last
     X_rec[:, n] = X_T
     c_rec[:, n] = cost
-    return cost, X_T, violations, (M_rec, u_rec, X_rec, c_rec)
+    return cost, X_T, violations, (W_rec, M_rec, u_rec, X_rec, c_rec)
 
 
 def run_optimal_control(curve, params, path):
@@ -207,7 +201,7 @@ def run_optimal_control(curve, params, path):
             f"path horizon {path.times[-1]} does not match params.T={params.T}")
     _, _, violations, rec = _drive_block(
         curve, params, path.times, path.dW[None, :], record=True)
-    M_rec, u_rec, X_rec, c_rec = rec
+    _W, M_rec, u_rec, X_rec, c_rec = rec
     path.M, path.u, path.X, path.cost = M_rec[0], u_rec[0], X_rec[0], c_rec[0]
     return path
 
@@ -225,9 +219,8 @@ def recorded_paths(curve, params, n_steps, seed, count):
                                   n_steps, sqrt_dt)
         for r0 in range(0, len(block), _RECORD_ROWS):
             dW = block[r0:r0 + _RECORD_ROWS]
-            W = _running_values(dW)
-            _, _, _, (M, u, X, cost) = _drive_block(curve, params, times, dW,
-                                                    record=True)
+            _, _, _, (W, M, u, X, cost) = _drive_block(curve, params, times,
+                                                       dW, record=True)
             for j in range(len(dW)):
                 yield SimPath(n_steps=int(n_steps), times=times, dW=dW[j],
                               W=W[j], seed=int(seed), M=M[j], u=u[j], X=X[j],
@@ -261,7 +254,7 @@ def _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt):
 
 
 def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
-                     gain_transform=None, return_costs=False):
+                     return_costs=False):
     """Sample mean and standard error of the per-path realized cost.
 
     Deterministic given the seed: path i is row i mod BLOCK of stream block
@@ -276,8 +269,7 @@ def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
     sqrt_dt = math.sqrt(params.T / n_steps)
 
     def worker(dW):
-        cost, _xt, violations, _ = _drive_block(
-            curve, params, times, dW, gain_transform=gain_transform)
+        cost, _xt, violations, _ = _drive_block(curve, params, times, dW)
         return cost, violations
 
     results = _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt)

@@ -229,7 +229,7 @@ def reference_brownian(seed, i0, i1, n_steps, sqrt_dt):
     return dW, W
 
 
-def reference_drive_block(curve, params, times, W, gain_transform=None):
+def reference_drive_block(curve, params, times, W):
     """Per-path cost and violation count of the feedback control on the
     rows of the Brownian-value matrix W."""
     p, T, x, c = params.p, params.T, params.x, params.c
@@ -239,7 +239,7 @@ def reference_drive_block(curve, params, times, W, gain_transform=None):
     for k in range(n - 1):
         t_k, t_next = times[k], times[k + 1]
         tau = T - t_k
-        kappa = _gain(curve, p, (c - W[:, k]) / math.sqrt(tau), gain_transform)
+        kappa = _gain(curve, p, (c - W[:, k]) / math.sqrt(tau))
         u = kappa * omx / tau
         cost += (u * u if p == 2.0 else u ** p) * (t_next - t_k)
         omx *= np.exp(kappa * math.log((T - t_next) / tau))
@@ -253,8 +253,7 @@ def reference_drive_block(curve, params, times, W, gain_transform=None):
     return cost, violations
 
 
-def reference_mc_costs(curve, params, n_paths, n_steps, seed,
-                       gain_transform=None):
+def reference_mc_costs(curve, params, n_paths, n_steps, seed):
     """Per-path costs and the violation count, one block at a time."""
     times = np.linspace(0.0, params.T, n_steps + 1)
     sqrt_dt = math.sqrt(params.T / n_steps)
@@ -262,8 +261,7 @@ def reference_mc_costs(curve, params, n_paths, n_steps, seed,
     for i0 in range(0, n_paths, BLOCK):
         _dW, W = reference_brownian(seed, i0, min(i0 + BLOCK, n_paths),
                                     n_steps, sqrt_dt)
-        cost, viol = reference_drive_block(curve, params, times, W,
-                                           gain_transform)
+        cost, viol = reference_drive_block(curve, params, times, W)
         costs.append(cost)
         violations += viol
     return np.concatenate(costs), violations

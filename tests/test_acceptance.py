@@ -32,6 +32,7 @@ from targetcost.normals import Params
 from targetcost.ode import (chord_lower_bound, curve_invariant_report, eval_g,
                             ode_residuals)
 from targetcost.sim import bsde_residual, mc_cost_estimate
+from targetcost.verify import _perturbed_curve
 from targetcost.walk import dp_g_profile, dp_value
 
 from helpers import inner_min, refinement_gap, run_cli, scan_min_split
@@ -109,11 +110,9 @@ def test_criterion_5_control_optimality(curve_p2):
               f"({'ok' if ok_value else 'out'})", f"violations {viol}"]
     ok_perturb = True
     for eta in (0.05, -0.05):
-        def bump(m, g, eta=eta):
-            return np.clip(g + eta * ((m >= 0.3) & (m <= 0.7)), 0.0, 1.0)
         _m, _s, viol_p, costs_p = mc_cost_estimate(
-            curve_p2, params, n_paths, n_steps, seed, gain_transform=bump,
-            return_costs=True)
+            _perturbed_curve(curve_p2, eta, 0.3, 0.7), params, n_paths,
+            n_steps, seed, return_costs=True)
         diff = costs_p - costs
         gap = float(diff.mean())
         se_d = float(diff.std(ddof=1)) / math.sqrt(n_paths)

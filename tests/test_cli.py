@@ -499,11 +499,15 @@ class TestVerifyCommand:
         assert report["passed"] is True
         assert report["seconds"] < 60.0
 
-    def test_perturbation_hook_fails_verification(self, tmp_path):
-        proc = run_cli(["verify", "--budget", "quick", "--perturb-g", "0.05"],
-                       cwd=tmp_path)
-        assert proc.returncode == 4
-        assert "bsde_residual" in proc.stderr
+    def test_perturb_g_is_not_an_option(self, tmp_path):
+        # The kernel-bump hook is gone: neither the flag nor a config key.
+        proc = run_cli(["verify", "--perturb-g", "0.05"], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "--perturb-g" in proc.stderr
+        (tmp_path / "cfg.ini").write_text("perturb_g = 0.05\n")
+        proc = run_cli(["verify", "--config", "cfg.ini"], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "--perturb-g" in proc.stderr
 
 
 class TestHelp:

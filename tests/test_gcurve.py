@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from targetcost.errors import CalibrationError, DomainError, UsageError
 from targetcost.normals import Params, std_normal_cdf
-from targetcost.ode import (DEFAULT_EPSILON, STORE_STRIDE, GCurve, _newton,
-                            _snapped, chord_lower_bound, curve_invariant_report,
-                            eval_g, eval_g_value, eval_g_z, load_curve,
-                            ode_residuals, save_curve, shoot, solve_grid,
+from targetcost.ode import (DEFAULT_EPSILON, STORE_STRIDE, GCurve,
+                            _kernel_reaction, _newton, _snapped,
+                            chord_lower_bound, curve_invariant_report, eval_g,
+                            eval_g_value, eval_g_z, load_curve, ode_residuals,
+                            policy_cost, save_curve, shoot, solve_grid,
                             value_function)
 from targetcost.verify import _perturbed_curve
 from targetcost.walk import dp_value
@@ -129,7 +131,8 @@ class TestShoot:
         # Started from cdf(-z) at p = 3, Newton converges to a solution of the
         # same difference equations that dips below 0; it must not be stored.
         zs = solve_grid(DEFAULT_EPSILON)
-        spurious = _newton(3.0, zs, std_normal_cdf(-zs))
+        spurious = _newton(3.0, zs, std_normal_cdf(-zs),
+                           partial(_kernel_reaction, 3.0))
         assert np.min(spurious) < -0.1
         with pytest.raises(CalibrationError):
             _snapped(3.0, DEFAULT_EPSILON, zs, spurious)
@@ -159,6 +162,41 @@ class TestShoot:
         for p, res in parallel.items():
             assert res.g_mid == shots_all[p].g_mid
             assert res.gamma == shots_all[p].gamma
+
+
+class TestPolicyCost:
+    """policy_cost scores a curve's feedback by its exact cost."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_converged_kernel_costs_its_own_value(self, p):
+        # With the cutoff far out the kernel is the ODE's solution, so its
+        # own feedback costs its midpoint value.
+        res = shoot(p, 1e-12)
+        cost, bar, valid = policy_cost(res.curve)
+        assert valid and bar <= 1e-7
+        assert abs(cost - res.g_mid) <= 1e-7
+
+    def test_default_cutoff_shows_as_excess_cost(self, shot_p2):
+        cost, bar, valid = policy_cost(shot_p2.curve)
+        assert valid and bar <= 1e-7
+        assert cost - shot_p2.g_mid == pytest.approx(2.09e-3, abs=1e-5)
+
+    @pytest.mark.parametrize("p", [7.0, 20.0])
+    def test_negative_phi_is_not_valid(self, p):
+        # The default curve's feedback stops beyond its cutoff, and at large
+        # p the solved phi dips below 0 there: no expected cost.
+        assert policy_cost(shoot(p).curve)[2] is False
+
+    @pytest.mark.parametrize("amp, gap", [(0.01, 3.05e-5), (-0.01, 8.25e-5)])
+    def test_small_bumps_cost_their_exact_gap(self, curve_p2, amp, gap):
+        # Three paired Monte Carlo stderrs at 100k x 2000 steps are about
+        # 2e-4, too wide for these gaps; the exact ones clear three bars.
+        cost, bar, _ = policy_cost(curve_p2)
+        cost_b, bar_b, valid = policy_cost(
+            _perturbed_curve(curve_p2, amp, 0.3, 0.7))
+        assert valid
+        assert cost_b - cost == pytest.approx(gap, abs=1e-7)
+        assert cost_b - cost > 3.0 * (bar + bar_b)
 
 
 class TestCurveInvariants:
@@ -354,7 +392,8 @@ def _solve_grid_kernel(p):
     from one Newton solve (no Richardson step)."""
     zs = solve_grid(DEFAULT_EPSILON)
     return _snapped(p, DEFAULT_EPSILON, zs,
-                    _newton(p, zs, 0.5 - zs / (2.0 * zs[-1])))
+                    _newton(p, zs, 0.5 - zs / (2.0 * zs[-1]),
+                            partial(_kernel_reaction, p)))
 
 
 @pytest.fixture(scope="module")
@@ -453,9 +492,9 @@ def test_verification_solves_each_p_once(monkeypatch):
         calls.append(p)
         return shoot(p, *args, **kwargs)
 
-    def no_paths(curve, params, n_paths, n_steps, seed, **kwargs):
+    def no_paths(curve, params, n_paths, n_steps, seed):
         # the Monte Carlo suite's paths play no part in what is counted here
-        return 0.0, 0.0, 0, np.zeros(n_paths)
+        return 0.0, 0.0, 0
 
     monkeypatch.setattr(verify, "shoot", counted)
     monkeypatch.setattr(verify, "mc_cost_estimate", no_paths)

@@ -5,12 +5,13 @@ import threading
 import numpy as np
 import pytest
 
+from targetcost import sim
 from targetcost.errors import DomainError, UsageError
 from targetcost.normals import Params
 from targetcost.sim import (BLOCK, bsde_residual, dump_path_csv,
                             mc_cost_estimate, nth_path, recorded_paths,
                             run_optimal_control, _block_increments)
-from targetcost.verify import _bump_transform
+from targetcost.verify import _perturbed_curve
 from targetcost.walk import dp_value
 
 from helpers import (exponential_form_control, reference_bsde_residual,
@@ -166,17 +167,12 @@ class TestMcCost:
         assert abs(m4 - m1 / 4.0) <= 0.01 + 3.0 * (se4 + se1 / 4.0)
 
     def test_perturbed_gain_costs_more(self, curve_p2):
-        def bump(eta):
-            def tf(m, g):
-                return np.clip(g + eta * ((m >= 0.3) & (m <= 0.7)), 0.0, 1.0)
-            return tf
-
         _, _, _, costs = mc_cost_estimate(curve_p2, PARAMS, 20_000, 2000, 7,
                                           return_costs=True)
         for eta in (0.05, -0.05):
             _, _, viol, costs_p = mc_cost_estimate(
-                curve_p2, PARAMS, 20_000, 2000, 7, gain_transform=bump(eta),
-                return_costs=True)
+                _perturbed_curve(curve_p2, eta, 0.3, 0.7), PARAMS, 20_000,
+                2000, 7, return_costs=True)
             diff = costs_p - costs
             gap = float(diff.mean())
             se_d = float(diff.std(ddof=1)) / math.sqrt(len(diff))
@@ -194,13 +190,12 @@ class TestBlockStream:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_costs_match_brownian_matrix(self, shots_all, p, n_paths, bump):
         curve = shots_all[p].curve
+        if bump:
+            curve = _perturbed_curve(curve, 0.05, 0.3, 0.7)
         params = Params(p, 1.0, 0.1, 0.2)
-        tf = _bump_transform(0.05, 0.3, 0.7) if bump else None
         *_, viol, costs = mc_cost_estimate(curve, params, n_paths, 30, 5,
-                                           gain_transform=tf,
                                            return_costs=True)
-        ref_costs, ref_viol = reference_mc_costs(curve, params, n_paths, 30, 5,
-                                                 gain_transform=tf)
+        ref_costs, ref_viol = reference_mc_costs(curve, params, n_paths, 30, 5)
         assert np.array_equal(costs, ref_costs)
         assert viol == ref_viol
 
@@ -222,31 +217,34 @@ class TestBlockStream:
                                           getattr(ref, name)), (i, name)
         assert i == BLOCK + 2
 
-    def test_one_helper_thread_joined_on_return(self, curve_p2):
+    def test_one_helper_thread_joined_on_return(self, curve_p2, monkeypatch):
         before, seen = threading.active_count(), []
+        eval_g_z = sim.eval_g_z
 
-        def counts_threads(m, g):
+        def counts_threads(curve, z):
             seen.append(threading.active_count())
-            return g
+            return eval_g_z(curve, z)
 
-        mc_cost_estimate(curve_p2, PARAMS, 2 * BLOCK + 1, 10, 1,
-                         gain_transform=counts_threads)
+        monkeypatch.setattr(sim, "eval_g_z", counts_threads)
+        mc_cost_estimate(curve_p2, PARAMS, 2 * BLOCK + 1, 10, 1)
         assert max(seen) == before + 1
         assert threading.active_count() == before
 
-    def test_error_on_second_block_propagates_and_joins(self, curve_p2):
+    def test_error_on_second_block_propagates_and_joins(self, curve_p2,
+                                                         monkeypatch):
         n_steps, calls = 10, []
+        eval_g_z = sim.eval_g_z
 
-        def fails_on_second_block(m, g):
+        def fails_on_second_block(curve, z):
             calls.append(1)
             if len(calls) == n_steps:  # the first step of block 1
-                raise RuntimeError("gain transform failed")
-            return g
+                raise RuntimeError("kernel lookup failed")
+            return eval_g_z(curve, z)
 
+        monkeypatch.setattr(sim, "eval_g_z", fails_on_second_block)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="gain transform failed"):
-            mc_cost_estimate(curve_p2, PARAMS, 3 * BLOCK, n_steps, 1,
-                             gain_transform=fails_on_second_block)
+        with pytest.raises(RuntimeError, match="kernel lookup failed"):
+            mc_cost_estimate(curve_p2, PARAMS, 3 * BLOCK, n_steps, 1)
         assert len(calls) == n_steps
         assert threading.active_count() == before
 
