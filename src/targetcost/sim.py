@@ -253,15 +253,13 @@ def _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt):
     return results
 
 
-def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
-                     return_costs=False):
+def mc_cost_estimate(curve, params, n_paths, n_steps, seed):
     """Sample mean and standard error of the per-path realized cost.
 
     Deterministic given the seed: path i is row i mod BLOCK of stream block
     i // BLOCK, the blocks are driven one after another, and their costs
     are reduced in path order with exact summation.
-    Also returns the feasibility violation count as third element, and the
-    per-path costs in path order as a fourth when return_costs is set.
+    Also returns the feasibility violation count as third element.
     """
     params = curve.check_params(params)
     _check_mc(params.T, n_steps, n_paths)
@@ -281,8 +279,6 @@ def mc_cost_estimate(curve, params, n_paths, n_steps, seed, *,
         stderr = math.sqrt(var / n_paths)
     else:
         stderr = 0.0
-    if return_costs:
-        return mean, stderr, violations, costs
     return mean, stderr, violations
 
 

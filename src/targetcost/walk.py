@@ -17,7 +17,8 @@ closing the gap at constant speed, and a node none of whose descendants
 bind costs 0.  The sweep therefore works on a live band of nodes only:
 below it nodes are 0 or smaller than TINY, above it they equal
 (m dt)^{1-p} to CERTAIN_RTOL and are filled from that formula.  At
-n = 8000 the band holds about a quarter of the triangle's nodes.
+n = 8000 the band holds about a quarter of the triangle's nodes.  A sweep
+allocates its layer and two scratch rows once and updates them in place.
 
 A node's value depends only on its distance to J and the steps left, so a
 whole profile of thresholds takes one sweep: on a terminal layer widened
@@ -40,14 +41,24 @@ TINY = 1e-300
 CERTAIN_RTOL = 1e-15
 
 
-def _bellman_min(kappa1, e, p):
+def _bellman_min(kappa1, e, p, out=None, work=None):
     """min over a in [0, 1] of a^p kappa1 + (1-a)^p e, for 0 <= e <= kappa1.
 
     The closed form (kappa1^{-q} + e^{-q})^{-(p-1)}, written as
     e (1 + (e/kappa1)^q)^{1-p} so that no power overflows and e = 0 needs
-    no special case.  Scalars or arrays.
+    no special case; x^1 is x and x^-1 is 1/x.  Scalars, or arrays in place:
+    `work` (e's shape) holds the intermediates and the result goes to `out`.
     """
-    return e * (1.0 + (e / kappa1) ** (1.0 / (p - 1.0))) ** (1.0 - p)
+    q = 1.0 / (p - 1.0)
+    t = np.divide(e, kappa1, out=work)
+    if q != 1.0:
+        t = np.power(t, q, out=work)
+    t = np.add(t, 1.0, out=work)
+    if p == 2.0:
+        t = np.reciprocal(t, out=work)
+    else:
+        t = np.power(t, 1.0 - p, out=work)
+    return np.multiply(e, t, out=out)
 
 
 def _sweep(width, J, n, dt, p):
@@ -56,11 +67,13 @@ def _sweep(width, J, n, dt, p):
 
     Yields (psi, lo, hi, certain) for each layer m = 1..n, which has
     width - m nodes: those below lo are 0, psi[lo:hi] are live and the rest
-    equal certain = (m dt)^{1-p}.  psi is one buffer, overwritten by the
-    next layer.
+    equal certain = (m dt)^{1-p}.  psi and two scratch rows are allocated
+    once per sweep; each layer writes into slices of them, its Bellman
+    minima straight into psi, which the next layer overwrites.
     """
     kappa1 = dt ** (1.0 - p)
     psi = np.zeros(width)
+    e_row, work_row = np.empty(width), np.empty(width)
     # layer 1: a node with a binding child pays kappa1, the others nothing
     lo = hi = min(max(J - 1, 0), width - 1)
     certain = kappa1
@@ -72,13 +85,14 @@ def _sweep(width, J, n, dt, p):
             psi[lo - 1] = 0.0
         psi[hi] = certain
         a, b = max(lo - 1, 0), min(hi, width - m)
-        e = psi[a:b] + psi[a + 1:b + 1]
-        e *= 0.5
-        psi[a:b] = _bellman_min(kappa1, e, p)
+        e = np.add(psi[a:b], psi[a + 1:b + 1], out=e_row[:b - a])
+        np.multiply(e, 0.5, out=e)
+        _bellman_min(kappa1, e, p, out=psi[a:b], work=work_row[:b - a])
         certain = (m * dt) ** (1.0 - p)
-        while a < b and psi[a] < TINY:
+        tol = CERTAIN_RTOL * certain
+        while a < b and psi.item(a) < TINY:
             a += 1
-        while b > a and abs(psi[b - 1] - certain) <= CERTAIN_RTOL * certain:
+        while b > a and abs(psi.item(b - 1) - certain) <= tol:
             b -= 1
         lo, hi = a, b
         yield psi, lo, hi, certain
@@ -99,10 +113,10 @@ def _last_layer(width, J, n, dt, p):
 
 
 def _first_binding(n, dt, c, tie):
-    """Index of the first terminal node that binds (n + 1 if none does)."""
+    """Index of the first terminal node that binds (n + 1 if none does) for
+    each threshold c, by binary search: the terminal values increase."""
     w_end = (2.0 * np.arange(n + 1) - n) * math.sqrt(dt)
-    binding = w_end >= c if tie == "geq" else w_end > c
-    return n + 1 - int(np.count_nonzero(binding))
+    return np.searchsorted(w_end, c, side="left" if tie == "geq" else "right")
 
 
 def _check_args(n, T, c, p, tie):
@@ -132,7 +146,8 @@ def dp_value(n, T, c, p, tie="geq"):
     which upper-biases the cost (the continuous event is null).
     """
     dt = _check_args(n, T, c, p, tie)
-    return float(_last_layer(n + 1, _first_binding(n, dt, c, tie), n, dt, p)[0])
+    J = int(_first_binding(n, dt, c, tie))
+    return float(_last_layer(n + 1, J, n, dt, p)[0])
 
 
 def dp_g_profile(n, p, levels, tie="geq"):
@@ -146,10 +161,11 @@ def dp_g_profile(n, p, levels, tie="geq"):
     for y in levels:
         if not (0.0 < y < 1.0):
             raise DomainError("levels must lie strictly inside (0, 1)")
-    js = [_first_binding(n, dt, float(std_normal_quantile(y)), tie)
-          for y in levels]
-    if not js:
+    if not levels:
         return []
+    # the scalar quantile per level: the array path differs by up to 1e-13
+    js = _first_binding(n, dt, [float(std_normal_quantile(y)) for y in levels],
+                        tie).tolist()
     top = max(js)
     roots = _last_layer(n + 1 + top - min(js), top, n, dt, p)
     return [(float(y), float(roots[top - j])) for y, j in zip(levels, js)]

@@ -14,6 +14,9 @@ package's one-pass writer must reproduce.
 inner_min (the Bellman split with its minimizer) and refinement_gap are
 test-only wrappers: they call walk._bellman_min and walk.dp_value, so the
 tests that use them check the package's own lattice code.
+mc_estimate_and_costs likewise runs the package's own Monte Carlo blocks
+(sim._run_blocks, sim._drive_block) and also returns the per-path costs
+that paired comparisons need.
 
 reference_brownian, reference_drive_block and reference_eval_g_z are the
 Monte Carlo path generator, feedback drive and kernel evaluator as they were
@@ -35,7 +38,8 @@ import targetcost
 from targetcost.errors import DomainError
 from targetcost.normals import std_normal_cdf, std_normal_pdf
 from targetcost.ode import DEFAULT_EPSILON, eval_g_z, solve_grid
-from targetcost.sim import BLOCK, BsdeResidualStats, _block_increments, _gain
+from targetcost.sim import (BLOCK, BsdeResidualStats, _block_increments,
+                            _drive_block, _gain, _run_blocks)
 from targetcost.walk import _bellman_min, dp_value
 
 # The directory holding the package this test process imported.  Putting it
@@ -92,8 +96,8 @@ def inner_min(kappa1, kappa2, p):
     rho = (kappa2 / kappa1) ** (1.0 / (p - 1.0))
     # the closed form is symmetric in its two costs; scaling by the
     # smaller one keeps the power below 1
-    return rho / (1.0 + rho), _bellman_min(max(kappa1, kappa2),
-                                           min(kappa1, kappa2), p)
+    return rho / (1.0 + rho), float(_bellman_min(max(kappa1, kappa2),
+                                                 min(kappa1, kappa2), p))
 
 
 def refinement_gap(n, T, c, p, tie="geq"):
@@ -265,6 +269,29 @@ def reference_mc_costs(curve, params, n_paths, n_steps, seed):
         costs.append(cost)
         violations += viol
     return np.concatenate(costs), violations
+
+
+def mc_estimate_and_costs(curve, params, n_paths, n_steps, seed):
+    """mc_cost_estimate's (mean, stderr, violations) and, fourth, its
+    per-path costs in path order: the same blocks from sim._run_blocks,
+    driven by sim._drive_block and reduced the same way."""
+    params = curve.check_params(params)
+    times = np.linspace(0.0, params.T, n_steps + 1)
+    sqrt_dt = math.sqrt(params.T / n_steps)
+
+    def worker(dW):
+        cost, _xt, violations, _ = _drive_block(curve, params, times, dW)
+        return cost, violations
+
+    results = _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt)
+    costs = np.concatenate([r[0] for r in results])
+    violations = sum(r[1] for r in results)
+    mean = math.fsum(costs) / n_paths
+    stderr = 0.0
+    if n_paths > 1:
+        var = math.fsum((costs - mean) ** 2) / (n_paths - 1)
+        stderr = math.sqrt(var / n_paths)
+    return mean, stderr, violations, costs
 
 
 def reference_bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):

@@ -31,11 +31,12 @@ from targetcost.expcase import (duality_gap, exp_cost_of_profile,
 from targetcost.normals import Params
 from targetcost.ode import (chord_lower_bound, curve_invariant_report, eval_g,
                             ode_residuals)
-from targetcost.sim import bsde_residual, mc_cost_estimate
+from targetcost.sim import bsde_residual
 from targetcost.verify import _perturbed_curve
 from targetcost.walk import dp_g_profile, dp_value
 
-from helpers import inner_min, refinement_gap, run_cli, scan_min_split
+from helpers import (inner_min, mc_estimate_and_costs, refinement_gap,
+                     run_cli, scan_min_split)
 
 LEVELS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -102,17 +103,17 @@ def test_criterion_4_scaling_law():
 def test_criterion_5_control_optimality(curve_p2):
     params = Params(2.0, 1.0, 0.0, 0.0)
     n_paths, n_steps, seed = 100_000, 2000, 7
-    mean, se, viol, costs = mc_cost_estimate(
-        curve_p2, params, n_paths, n_steps, seed, return_costs=True)
+    mean, se, viol, costs = mc_estimate_and_costs(
+        curve_p2, params, n_paths, n_steps, seed)
     ok_value = abs(mean - 0.88) <= 0.02 + 3.0 * se
     ok_feasible = viol == 0
     detail = [f"mc mean {mean:.5f} +- {se:.5f} vs 0.88 "
               f"({'ok' if ok_value else 'out'})", f"violations {viol}"]
     ok_perturb = True
     for eta in (0.05, -0.05):
-        _m, _s, viol_p, costs_p = mc_cost_estimate(
+        _m, _s, viol_p, costs_p = mc_estimate_and_costs(
             _perturbed_curve(curve_p2, eta, 0.3, 0.7), params, n_paths,
-            n_steps, seed, return_costs=True)
+            n_steps, seed)
         diff = costs_p - costs
         gap = float(diff.mean())
         se_d = float(diff.std(ddof=1)) / math.sqrt(n_paths)

@@ -4,39 +4,13 @@ perfbench/run.py reads each per-layer metric from the spans of one
 boundary: a public function of one targetcost module that another module
 imports.  A boundary that disappears, say because its last importer
 stopped importing it, prints that metric as null.  These checks only read
-perfbench/.
+perfbench/; the `run` fixture (conftest.py) loads perfbench/run.py.
 """
 
 import importlib
-import importlib.util
 import inspect
-import sys
-from pathlib import Path
-
-import pytest
 
 import targetcost
-
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def run():
-    """perfbench/run.py loaded by path, with perfbench/ on sys.path for its
-    `tracer` import; registered in sys.modules before it executes, because
-    its dataclasses look their module up there."""
-    name = "perfbench_run"
-    sys.path.insert(0, str(BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location(name, BENCH / "run.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        sys.modules.pop(name, None)
-        sys.modules.pop("tracer", None)
-        sys.path.remove(str(BENCH))
 
 
 def _function(span_name):

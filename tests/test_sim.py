@@ -14,8 +14,9 @@ from targetcost.sim import (BLOCK, bsde_residual, dump_path_csv,
 from targetcost.verify import _perturbed_curve
 from targetcost.walk import dp_value
 
-from helpers import (exponential_form_control, reference_bsde_residual,
-                     reference_mc_costs, terminal_blowup_medians)
+from helpers import (exponential_form_control, mc_estimate_and_costs,
+                     reference_bsde_residual, reference_mc_costs,
+                     terminal_blowup_medians)
 
 PARAMS = Params(2.0, 1.0, 0.0, 0.0)
 
@@ -144,20 +145,29 @@ class TestMcCost:
         two = mc_cost_estimate(curve_p2, PARAMS, 3 * BLOCK // 2, 100, 5)
         assert one == two
 
+    @pytest.mark.parametrize("n_paths", [1, 7, BLOCK + 10])
+    def test_per_path_helper_reproduces_the_estimate(self, curve_p2, n_paths):
+        # the per-path costs the paired tests read are those of the estimate
+        params = Params(2.0, 1.0, 0.1, 0.2)
+        *estimate, costs = mc_estimate_and_costs(curve_p2, params, n_paths,
+                                                 40, 3)
+        assert tuple(estimate) == mc_cost_estimate(curve_p2, params, n_paths,
+                                                   40, 3)
+        assert len(costs) == n_paths
+
     def test_path_layout_across_blocks(self, curve_p2):
         # Path i of the estimate is the path nth_path regenerates from
         # (seed, i), on either side of a block boundary, and a shorter run
         # is a prefix of a longer one.
         n_steps, seed = 50, 11
-        *_, costs = mc_cost_estimate(curve_p2, PARAMS, BLOCK + 10, n_steps,
-                                     seed, return_costs=True)
+        *_, costs = mc_estimate_and_costs(curve_p2, PARAMS, BLOCK + 10,
+                                          n_steps, seed)
         assert len(costs) == BLOCK + 10
         for i in (0, BLOCK - 1, BLOCK, BLOCK + 9):
             path = run_optimal_control(curve_p2, PARAMS,
                                        nth_path(1.0, n_steps, seed, i))
             assert costs[i] == pytest.approx(path.cost[-1], rel=1e-12, abs=0.0)
-        *_, head = mc_cost_estimate(curve_p2, PARAMS, 7, n_steps, seed,
-                                    return_costs=True)
+        *_, head = mc_estimate_and_costs(curve_p2, PARAMS, 7, n_steps, seed)
         np.testing.assert_allclose(head, costs[:7], rtol=1e-12, atol=0.0)
 
     def test_horizon_scaling(self, curve_p2):
@@ -167,12 +177,12 @@ class TestMcCost:
         assert abs(m4 - m1 / 4.0) <= 0.01 + 3.0 * (se4 + se1 / 4.0)
 
     def test_perturbed_gain_costs_more(self, curve_p2):
-        _, _, _, costs = mc_cost_estimate(curve_p2, PARAMS, 20_000, 2000, 7,
-                                          return_costs=True)
+        _, _, _, costs = mc_estimate_and_costs(curve_p2, PARAMS, 20_000,
+                                               2000, 7)
         for eta in (0.05, -0.05):
-            _, _, viol, costs_p = mc_cost_estimate(
+            _, _, viol, costs_p = mc_estimate_and_costs(
                 _perturbed_curve(curve_p2, eta, 0.3, 0.7), PARAMS, 20_000,
-                2000, 7, return_costs=True)
+                2000, 7)
             diff = costs_p - costs
             gap = float(diff.mean())
             se_d = float(diff.std(ddof=1)) / math.sqrt(len(diff))
@@ -193,8 +203,7 @@ class TestBlockStream:
         if bump:
             curve = _perturbed_curve(curve, 0.05, 0.3, 0.7)
         params = Params(p, 1.0, 0.1, 0.2)
-        *_, viol, costs = mc_cost_estimate(curve, params, n_paths, 30, 5,
-                                           return_costs=True)
+        *_, viol, costs = mc_estimate_and_costs(curve, params, n_paths, 30, 5)
         ref_costs, ref_viol = reference_mc_costs(curve, params, n_paths, 30, 5)
         assert np.array_equal(costs, ref_costs)
         assert viol == ref_viol

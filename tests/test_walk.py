@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from targetcost.errors import DomainError, ResourceError
 from targetcost.normals import std_normal_cdf, std_normal_quantile
-from targetcost.walk import (_expand, _first_binding, _sweep, dp_g_profile,
-                             dp_value, save_profile)
+from targetcost.walk import (_bellman_min, _expand, _first_binding, _sweep,
+                             dp_g_profile, dp_value, save_profile)
 
 from helpers import (inner_min, reference_dp_value, refinement_gap,
                      scan_min_split)
@@ -61,6 +61,23 @@ class TestInnerMin:
             inner_min(1.0, -1.0, 2.0)
         with pytest.raises(DomainError):
             inner_min(1.0, 1.0, 1.0)
+
+
+class TestBellmanMin:
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 7.0, 20.0])
+    def test_in_place_matches_the_expression(self, p):
+        # written in place, with x^1 skipped and x^-1 as a reciprocal, the
+        # closed form gives the bits of the expression it replaces
+        kappa1 = 3.7
+        e = np.concatenate([[0.0, 1e-300, kappa1],
+                            np.random.default_rng(5).uniform(0, kappa1, 5000)])
+        expected = e * (1.0 + (e / kappa1) ** (1.0 / (p - 1.0))) ** (1.0 - p)
+        out, work = np.full_like(e, np.nan), np.full_like(e, np.nan)
+        returned = _bellman_min(kappa1, e, p, out=out, work=work)
+        assert returned is out
+        assert np.array_equal(out, expected)
+        assert all(_bellman_min(kappa1, float(x), p) == y
+                   for x, y in zip(e[:50], expected[:50]))
 
 
 class TestDpValue:
@@ -166,6 +183,59 @@ class TestBand:
             assert value == (n * (T / n)) ** (1.0 - p)
 
 
+# float.hex of dp_value(n, 1, c, p, tie) for (tie, c) in GOLDEN_CASES,
+# recorded from the sweep that allocated its temporaries layer by layer
+# (commit ee15d96).  The in-place sweep must reproduce them bit for bit.
+GOLDEN_CASES = (("geq", 0.0), ("geq", 0.3), ("gt", 0.0), ("gt", 0.3))
+GOLDEN_VALUES = {
+    (3, 1.5): ("0x1.bb4ba652efe02p-1",) * 4,
+    (3, 2.0): ("0x1.c3c3c3c3c3c3cp-1",) * 4,
+    (3, 3.0): ("0x1.c838d248f2eabp-1",) * 4,
+    (3, 7.0): ("0x1.cb36fbf253a3bp-1",) * 4,
+    (501, 1.5): ("0x1.9d3ebbe2e2200p-1", "0x1.70ecbf9aa27f5p-1") * 2,
+    (501, 2.0): ("0x1.ba3df310824d3p-1", "0x1.994d80b477788p-1") * 2,
+    (501, 3.0): ("0x1.cc32390abc3eep-1", "0x1.b37837b5ea844p-1") * 2,
+    (501, 7.0): ("0x1.d9e9b01ec9b5cp-1", "0x1.c7f76077029ffp-1") * 2,
+    (4000, 1.5): ("0x1.9f5a837d59ab8p-1", "0x1.6ab487646203ep-1",
+                  "0x1.9ab8d3f04111ep-1", "0x1.6ab487646203ep-1"),
+    (4000, 2.0): ("0x1.bd77446678847p-1", "0x1.96ea3e6e3f4b2p-1",
+                  "0x1.ba277e4f2031ap-1", "0x1.96ea3e6e3f4b2p-1"),
+    (4000, 3.0): ("0x1.d0816f075a495p-1", "0x1.b468ed6f6e6f5p-1",
+                  "0x1.ce1d5bb1fb494p-1", "0x1.b468ed6f6e6f5p-1"),
+    (4000, 7.0): ("0x1.dfdc31121509bp-1", "0x1.ccded52cf8f0cp-1",
+                  "0x1.de3f964de809cp-1", "0x1.ccded52cf8f0cp-1"),
+}
+# the benchmark's oracle size, p = 2, c = 0
+GOLDEN_N8000 = {"geq": "0x1.bd429ec3ddb54p-1", "gt": "0x1.baecfd2fe7a69p-1"}
+# dp_g_profile(500, 2, GOLDEN_LEVELS)
+GOLDEN_LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+GOLDEN_PROFILE = (
+    "0x1.fa7eec8c10babp-1", "0x1.f0f6ba18eda10p-1", "0x1.e196b1941d1dep-1",
+    "0x1.cf3a099015241p-1", "0x1.bee40d8625a91p-1", "0x1.9f5fa2ad1160ep-1",
+    "0x1.77097199f7435p-1", "0x1.34e7461f59c72p-1", "0x1.ae77808823234p-2",
+)
+
+
+class TestGoldenBits:
+    """Exact bits of recorded lattice values; the full-width reference is
+    compared only to 1e-13, so these are what pin the sweep's arithmetic."""
+
+    @pytest.mark.parametrize("n, p", sorted(GOLDEN_VALUES))
+    def test_dp_value(self, n, p):
+        got = tuple(dp_value(n, 1.0, c, p, tie=tie).hex()
+                    for tie, c in GOLDEN_CASES)
+        assert got == GOLDEN_VALUES[n, p]
+
+    @pytest.mark.parametrize("tie", ["geq", "gt"])
+    def test_benchmark_size(self, tie):
+        assert dp_value(8000, 1.0, 0.0, 2.0, tie=tie).hex() == GOLDEN_N8000[tie]
+
+    def test_profile(self):
+        profile = dp_g_profile(500, 2.0, GOLDEN_LEVELS)
+        assert [y for y, _ in profile] == list(GOLDEN_LEVELS)
+        assert tuple(v.hex() for _, v in profile) == GOLDEN_PROFILE
+
+
 def _layers(n, T, c, p):
     """Every layer of the oracle's sweep in full, root layer first."""
     dt = T / n
@@ -186,6 +256,22 @@ class TestOracleTable:
         J = _first_binding(10, 0.1, 0.0, "geq")
         w = (2.0 * np.arange(11) - 10) * math.sqrt(0.1)
         assert np.all(w[J:] >= 0.0) and np.all(w[:J] < 0.0)
+
+    @pytest.mark.parametrize("tie", ["geq", "gt"])
+    @pytest.mark.parametrize("n", [2, 3, 100, 501])
+    def test_first_binding_matches_count(self, n, tie):
+        # one binary search gives the index of counting the binding nodes,
+        # for thresholds between nodes, exactly on them and past either end
+        dt = 1.0 / n
+        w_end = (2.0 * np.arange(n + 1) - n) * math.sqrt(dt)
+        mids = 0.5 * (w_end[:-1] + w_end[1:])
+        cs = np.concatenate([w_end, mids, [w_end[0] - 1.0, w_end[-1] + 1.0,
+                                           0.0, 0.3, -0.7]])
+        counted = [n + 1 - int(np.count_nonzero(
+            w_end >= c if tie == "geq" else w_end > c)) for c in cs]
+        assert _first_binding(n, dt, cs, tie).tolist() == counted
+        assert [int(_first_binding(n, dt, float(c), tie))
+                for c in cs] == counted
 
     def test_root_matches_dp_value(self):
         assert _layers(200, 1.0, 0.3, 2.0)[0][0] == dp_value(200, 1.0, 0.3, 2.0)
