@@ -6,9 +6,9 @@ program, simulates the optimal feedback control along Brownian paths with
 a pathwise backward identity check, and evaluates the closed-form
 exponential-cost case with its duality witnesses.
 
-The package holds what the commands and `verify` run.  The independent
-reference routes the tests compare against, among them an initial-value
-integration of the kernel by SciPy's DOP853, live with the tests.
+The package holds what the commands and `verify` run.  The reference
+routes the tests compare against, among them the kernel's initial-value
+integration by SciPy's DOP853 and the path-by-path drive, live there.
 """
 
 from .errors import (CalibrationError, DomainError, ResourceError,
@@ -21,7 +21,7 @@ from .ode import (GCurve, ShootingResult, chord_lower_bound, eval_g,
                   eval_g_value, load_curve, ode_residuals, policy_cost,
                   save_curve, shoot, value_function)
 from .sim import (BsdeResidualStats, SimPath, bsde_residual, mc_cost_estimate,
-                  nth_path, run_optimal_control)
+                  recorded_paths)
 from .verify import run_verification
 from .walk import dp_g_profile, dp_value
 

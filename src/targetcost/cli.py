@@ -117,7 +117,7 @@ def cmd_value(args):
     curve, _sidecar = _load_checked_curve(args.curve, args.p)
     params = Params(curve.p, args.T, args.x, args.c)
     level = std_normal_cdf(args.c / math.sqrt(args.T))
-    g_at_level = eval_g(curve, level)[0]
+    g_at_level = eval_g(curve, level)
     payload = {"p": curve.p, "T": args.T, "x": args.x, "c": args.c,
                "level": level, "g_at_level": g_at_level,
                "value": value_function(curve, params, g_at_level)}

@@ -64,22 +64,6 @@ def _regularizer(n):
     return max(r, REGULARIZER_FLOOR)
 
 
-def witness_rate(n, T):
-    """The deterministic drift profile of the n-th witness as a callable."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise DomainError("n must be an integer >= 2")
-    if not (T > 0.0):
-        raise DomainError("T must be > 0")
-    r = _regularizer(n)
-    scale = n ** (-2.0 / 3.0)
-    expo = 1.0 - 1.0 / n
-
-    def zeta(t):
-        return scale / (T + r - t) ** expo
-
-    return zeta
-
-
 @dataclass(frozen=True)
 class DualityWitness:
     """Mass and entropy cost of one drift martingale in the witness sequence.
@@ -104,12 +88,18 @@ class DualityWitness:
 def duality_witness(n, T, c):
     """Evaluate witness n: drift integral and entropy, both in closed form.
 
-    The drift integral int zeta dt uses the power rule, and the entropy
-    (1/2) * int zeta^2 (T-t) dt is entropy_closed_form.  Adaptive quadrature
-    of the entropy in log s, s = T + r - t, agrees to 1e-14 relative; verify
-    and the tests keep it as the independent check.
+    Witness n drifts at the deterministic rate
+    zeta(t) = n^{-2/3} / (T + r - t)^{1 - 1/n}, r = n^-n (floored at
+    REGULARIZER_FLOOR).  The drift integral int zeta dt uses the power
+    rule, and the entropy (1/2) * int zeta^2 (T-t) dt is
+    entropy_closed_form.  Adaptive quadrature of the entropy in log s,
+    s = T + r - t, agrees to 1e-14 relative; verify and the tests keep it
+    as the independent check.
     """
-    witness_rate(n, T)  # validates n, T
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise DomainError("n must be an integer >= 2")
+    if not (T > 0.0):
+        raise DomainError("T must be > 0")
     r = _regularizer(n)
     drift_integral = n ** (1.0 / 3.0) * ((T + r) ** (1.0 / n) - r ** (1.0 / n))
     mass = 1.0 - std_normal_cdf((c - drift_integral) / math.sqrt(T))

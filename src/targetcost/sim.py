@@ -20,25 +20,27 @@ its increments, with a running sum in place of a matrix of Brownian values.
 The blocks are driven one after another, in path order, while one helper
 thread draws the next block's increments (the Philox fill, its scaling and
 the copy into step-major order run outside the interpreter lock); so two
-blocks' increments are alive at a time, about 131 MB at 2000 steps.
-Aggregation runs in path order with exact summation.
+blocks' increments are alive at a time, about 131 MB at 2000 steps, and a
+request past MAX_LIVE_BYTES raises ResourceError before any draw.
+recorded_paths gives filled paths in the same layout.  Aggregation runs in
+path order with exact summation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, ResourceError
 from .normals import std_normal_cdf
 from .ode import eval_g_z
 
 BLOCK = 4096  # paths per stream block; fixed so layout never affects results
 _RECORD_ROWS = 256  # paths recorded step by step at once, to bound memory
 _DRAW_ELEMS = 1 << 17  # increments drawn per run of rows: 1 MB, cache-sized
+MAX_LIVE_BYTES = 2 << 30  # cap on the two blocks of increments alive at once
 
 
 def _block_rng(seed, block):
@@ -49,7 +51,7 @@ def _block_rng(seed, block):
 
 @dataclass
 class SimPath:
-    """One trajectory; M, u, X, cost stay None until a control is run.
+    """One trajectory driven by the feedback control.
 
     u[k] is the rate held on [t_k, t_{k+1}); the final entry repeats the
     last step's rate so the array aligns with the time grid.
@@ -60,10 +62,10 @@ class SimPath:
     dW: np.ndarray
     W: np.ndarray
     seed: int
-    M: Optional[np.ndarray] = None
-    u: Optional[np.ndarray] = None
-    X: Optional[np.ndarray] = None
-    cost: Optional[np.ndarray] = None
+    M: np.ndarray
+    u: np.ndarray
+    X: np.ndarray
+    cost: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,28 +100,20 @@ def _block_increments(seed, block, rows, n_steps, sqrt_dt):
     return out
 
 
-def _check_mc(T, n_steps, n_paths):
-    """The arguments every path generator takes: a finite horizon T > 0,
-    an integer step count >= 2 and an integer path count >= 1."""
+def _check_mc(n_steps, n_paths):
+    """The counts every path generator takes: an integer step count >= 2
+    and an integer path count >= 1, with the two blocks of increments alive
+    at once within MAX_LIVE_BYTES."""
     if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 2):
         raise DomainError("n_steps must be an integer >= 2")
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
         raise DomainError("n_paths must be an integer >= 1")
-    if not (T > 0.0 and math.isfinite(T)):
-        raise DomainError("T must be a finite number > 0")
-
-
-def nth_path(T, n_steps, seed, index):
-    """Skeleton of path `index` from the master seed's stream layout."""
-    _check_mc(T, n_steps, 1)
-    if index < 0:
-        raise DomainError("index must be >= 0")
-    times = np.linspace(0.0, T, n_steps + 1)
-    block, row = divmod(index, BLOCK)
-    dW = _block_increments(seed, block, row + 1, n_steps,
-                           math.sqrt(T / n_steps))[row]
-    return SimPath(n_steps=int(n_steps), times=times, dW=dW,
-                   W=np.concatenate(([0.0], np.cumsum(dW))), seed=int(seed))
+    live = 2 * min(BLOCK, n_paths) * n_steps * 8
+    if live > MAX_LIVE_BYTES:
+        raise ResourceError(
+            f"two blocks of {min(BLOCK, n_paths)} paths x {n_steps} steps "
+            f"need {live / 2**30:.1f} GiB of increments, over the "
+            f"{MAX_LIVE_BYTES / 2**30:g} GiB limit")
 
 
 def _gain(curve, p, zscore):
@@ -133,8 +127,8 @@ def _drive_block(curve, params, times, dW, *, record=False):
     """Run the feedback control on a block of paths (rows of the increments
     dW), keeping each path's running Brownian value.
 
-    Returns (cost, X_T, violations) plus, when record is set, the full
-    (W, M, u, X, cost_running) arrays.
+    Returns (cost, violations) plus, when record is set, the full
+    (W, M, u, X, cost_running) arrays, else None.
     """
     p, T, x, c = params.p, params.T, params.x, params.c
     n = len(times) - 1
@@ -184,34 +178,21 @@ def _drive_block(curve, params, times, dW, *, record=False):
     violations = int(np.sum((X_T + 1e-12 < bind.astype(float))
                             | (X_T > 1.0 + 1e-12)))
     if not record:
-        return cost, X_T, violations, None
+        return cost, violations, None
     W_rec[:, n] = w_T
     M_rec[:, n] = (w_T < c).astype(float)
     u_rec[:, n] = u_last
     X_rec[:, n] = X_T
     c_rec[:, n] = cost
-    return cost, X_T, violations, (W_rec, M_rec, u_rec, X_rec, c_rec)
-
-
-def run_optimal_control(curve, params, path):
-    """Fill a skeleton path with the feedback control, state and cost."""
-    params = curve.check_params(params)
-    if abs(path.times[-1] - params.T) > 1e-12 * max(1.0, params.T):
-        raise UsageError(
-            f"path horizon {path.times[-1]} does not match params.T={params.T}")
-    _, _, violations, rec = _drive_block(
-        curve, params, path.times, path.dW[None, :], record=True)
-    _W, M_rec, u_rec, X_rec, c_rec = rec
-    path.M, path.u, path.X, path.cost = M_rec[0], u_rec[0], X_rec[0], c_rec[0]
-    return path
+    return cost, violations, (W_rec, M_rec, u_rec, X_rec, c_rec)
 
 
 def recorded_paths(curve, params, n_steps, seed, count):
     """Filled paths 0, 1, ..., count - 1 of the stream layout, in order:
-    what nth_path and run_optimal_control give path by path, from one draw
-    of each block's leading rows."""
+    path i is row i mod BLOCK of stream block i // BLOCK, each block's
+    leading rows drawn once and driven _RECORD_ROWS at a time."""
     params = curve.check_params(params)
-    _check_mc(params.T, n_steps, 1)
+    _check_mc(n_steps, max(count, 1))
     times = np.linspace(0.0, params.T, n_steps + 1)
     sqrt_dt = math.sqrt(params.T / n_steps)
     for i0 in range(0, count, BLOCK):
@@ -219,12 +200,23 @@ def recorded_paths(curve, params, n_steps, seed, count):
                                   n_steps, sqrt_dt)
         for r0 in range(0, len(block), _RECORD_ROWS):
             dW = block[r0:r0 + _RECORD_ROWS]
-            _, _, _, (W, M, u, X, cost) = _drive_block(curve, params, times,
-                                                       dW, record=True)
+            _, _, (W, M, u, X, cost) = _drive_block(curve, params, times, dW,
+                                                    record=True)
             for j in range(len(dW)):
                 yield SimPath(n_steps=int(n_steps), times=times, dW=dW[j],
                               W=W[j], seed=int(seed), M=M[j], u=u[j], X=X[j],
                               cost=cost[j])
+
+
+def _mean_stderr(values):
+    """Mean of the per-path values by exact summation, and its standard
+    error with the n - 1 divisor (0.0 for a single path)."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    if n == 1:
+        return mean, 0.0
+    var = math.fsum((values - mean) ** 2) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 def _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt):
@@ -262,24 +254,17 @@ def mc_cost_estimate(curve, params, n_paths, n_steps, seed):
     Also returns the feasibility violation count as third element.
     """
     params = curve.check_params(params)
-    _check_mc(params.T, n_steps, n_paths)
+    _check_mc(n_steps, n_paths)
     times = np.linspace(0.0, params.T, n_steps + 1)
     sqrt_dt = math.sqrt(params.T / n_steps)
 
     def worker(dW):
-        cost, _xt, violations, _ = _drive_block(curve, params, times, dW)
+        cost, violations, _ = _drive_block(curve, params, times, dW)
         return cost, violations
 
     results = _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt)
-    costs = np.concatenate([r[0] for r in results])
-    violations = sum(r[1] for r in results)
-    mean = math.fsum(costs) / n_paths
-    if n_paths > 1:
-        var = math.fsum((costs - mean) ** 2) / (n_paths - 1)
-        stderr = math.sqrt(var / n_paths)
-    else:
-        stderr = 0.0
-    return mean, stderr, violations
+    mean, stderr = _mean_stderr(np.concatenate([r[0] for r in results]))
+    return mean, stderr, sum(r[1] for r in results)
 
 
 def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
@@ -291,10 +276,10 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
     r_k = dY_k - (p-1) Y_k^{p/(p-1)} dt - Z_k dW_k.  Reports the mean (with
     a per-path standard error), the root mean square, and the smallest Z.
     """
-    _check_mc(T, n_steps, n_paths)
+    curve.check_params((p, T, 0.0, c))
+    _check_mc(n_steps, n_paths)
     if not (0.0 < delta < T / 2.0):
         raise DomainError("delta must lie in (0, T/2)")
-    curve.check_params((p, T, 0.0, c))
     times = np.linspace(0.0, T, n_steps + 1)
     sqrt_dt = math.sqrt(T / n_steps)
     dt = T / n_steps
@@ -329,9 +314,7 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
     per_path_mean = np.concatenate([r[0] for r in results]) / k_end
     sq_total = math.fsum(r[1] for r in results)
     z_min = min(r[2] for r in results)
-    mean = math.fsum(per_path_mean) / n_paths
-    var = math.fsum((per_path_mean - mean) ** 2) / max(n_paths - 1, 1)
-    stderr = math.sqrt(var / n_paths)
+    mean, stderr = _mean_stderr(per_path_mean)
     rms = math.sqrt(sq_total / (n_paths * k_end))
     return BsdeResidualStats(
         n_paths=n_paths, n_steps=n_steps, delta=float(delta),
@@ -340,9 +323,7 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
 
 
 def dump_path_csv(path, fh):
-    """Rows `t,W,M,u,X,cost_running`; requires a filled path."""
-    if path.M is None:
-        raise UsageError("path has no control attached; run the feedback first")
+    """Rows `t,W,M,u,X,cost_running`, one per time node."""
     fh.write("t,W,M,u,X,cost_running\n")
     for k in range(path.n_steps + 1):
         fh.write(f"{path.times[k]:.17g},{path.W[k]:.17g},{path.M[k]:.17g},"

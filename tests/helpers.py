@@ -16,13 +16,16 @@ test-only wrappers: they call walk._bellman_min and walk.dp_value, so the
 tests that use them check the package's own lattice code.
 mc_estimate_and_costs likewise runs the package's own Monte Carlo blocks
 (sim._run_blocks, sim._drive_block) and also returns the per-path costs
-that paired comparisons need.
+that paired comparisons need; its own reduction of them checks
+sim._mean_stderr bit for bit.
 
 reference_brownian, reference_drive_block and reference_eval_g_z are the
 Monte Carlo path generator, feedback drive and kernel evaluator as they were
 before the simulator drove each block from its increments: a matrix of
 Brownian values built by np.cumsum, and the evaluator's integer cell index.
-The package's versions must match them bit for bit.
+The package's versions must match them bit for bit.  reference_path is the
+filled path as it was built one at a time before sim.recorded_paths drew
+each block once: its row alone, its W by np.cumsum.
 """
 
 import csv
@@ -38,8 +41,9 @@ import targetcost
 from targetcost.errors import DomainError
 from targetcost.normals import std_normal_cdf, std_normal_pdf
 from targetcost.ode import DEFAULT_EPSILON, eval_g_z, solve_grid
-from targetcost.sim import (BLOCK, BsdeResidualStats, _block_increments,
-                            _drive_block, _gain, _run_blocks)
+from targetcost.sim import (BLOCK, BsdeResidualStats, SimPath,
+                            _block_increments, _drive_block, _gain,
+                            _run_blocks)
 from targetcost.walk import _bellman_min, dp_value
 
 # The directory holding the package this test process imported.  Putting it
@@ -233,6 +237,21 @@ def reference_brownian(seed, i0, i1, n_steps, sqrt_dt):
     return dW, W
 
 
+def reference_path(curve, params, n_steps, seed, index):
+    """Path `index` of the stream layout, filled: row index mod BLOCK of its
+    block's increments, driven alone by sim._drive_block."""
+    params = curve.check_params(params)
+    times = np.linspace(0.0, params.T, n_steps + 1)
+    block, row = divmod(index, BLOCK)
+    dW = _block_increments(seed, block, row + 1, n_steps,
+                           math.sqrt(params.T / n_steps))[row]
+    _cost, _viol, (_W, M, u, X, cost) = _drive_block(
+        curve, params, times, dW[None, :], record=True)
+    return SimPath(n_steps=n_steps, times=times, dW=dW,
+                   W=np.concatenate(([0.0], np.cumsum(dW))), seed=seed,
+                   M=M[0], u=u[0], X=X[0], cost=cost[0])
+
+
 def reference_drive_block(curve, params, times, W):
     """Per-path cost and violation count of the feedback control on the
     rows of the Brownian-value matrix W."""
@@ -280,7 +299,7 @@ def mc_estimate_and_costs(curve, params, n_paths, n_steps, seed):
     sqrt_dt = math.sqrt(params.T / n_steps)
 
     def worker(dW):
-        cost, _xt, violations, _ = _drive_block(curve, params, times, dW)
+        cost, violations, _ = _drive_block(curve, params, times, dW)
         return cost, violations
 
     results = _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt)

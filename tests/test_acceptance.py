@@ -81,7 +81,7 @@ def test_criterion_2_calibration_reported_windows(tmp_path):
 
 def test_criterion_3_curve_matches_walk_program(curve_p2):
     profile = dp_g_profile(2000, 2.0, LEVELS)
-    worst = max(abs(val - eval_g(curve_p2, y)[0]) for y, val in profile)
+    worst = max(abs(val - eval_g(curve_p2, y)) for y, val in profile)
     report(3, worst <= 0.02, f"max curve-vs-lattice gap {worst:.4f} <= 0.02 "
                              f"over 9 levels")
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import shutil
@@ -10,9 +11,10 @@ import pytest
 from targetcost import cli
 from targetcost.normals import Params
 from targetcost.ode import load_curve
-from targetcost.sim import BLOCK, dump_path_csv, nth_path, run_optimal_control
+from targetcost import sim
+from targetcost.sim import BLOCK, dump_path_csv
 
-from helpers import run_cli, run_python
+from helpers import reference_path, run_cli, run_python
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +208,7 @@ class TestOracle:
         worst = 0.0
         for line in lines[1:]:
             y, val = map(float, line.split(","))
-            worst = max(worst, abs(val - eval_g(curve, y)[0]))
+            worst = max(worst, abs(val - eval_g(curve, y)))
         assert worst <= 0.02
 
     def test_non_finite_threshold_is_usage_error(self, tmp_path):
@@ -246,9 +248,9 @@ class TestSimulate:
     @pytest.mark.parametrize("count", [0, 1, 5, BLOCK + 3])
     def test_dump_matches_path_by_path(self, workdir, tmp_path, monkeypatch,
                                        capsys, count):
-        # One draw per block and chunked recording write the bytes that
-        # nth_path and run_optimal_control write one path at a time; the
-        # command leaves no thread running and prints only its summary.
+        # One draw per block and chunked recording write the bytes of the
+        # paths filled one at a time; the command leaves no thread running
+        # and prints only its summary.
         monkeypatch.chdir(workdir)
         before = threading.active_count()
         argv = ["simulate", "--n-paths", str(BLOCK + 10), "--n-steps", "4",
@@ -265,10 +267,26 @@ class TestSimulate:
         assert written == [f"path_{i:04d}.csv" for i in range(count)]
         for i in range(count):
             buf = io.StringIO(newline="")
-            dump_path_csv(run_optimal_control(curve, params,
-                                              nth_path(1.0, 4, 6, i)), buf)
+            dump_path_csv(reference_path(curve, params, 4, 6, i), buf)
             assert ((tmp_path / "dd" / f"path_{i:04d}.csv").read_bytes()
                     == buf.getvalue().encode()), i
+
+    def test_memory_guard_exits_3_writing_nothing(self, workdir, tmp_path,
+                                                  monkeypatch, capsys):
+        # 10 000 paths of 100 000 steps would hold 6.1 GiB of increments;
+        # a draw here raises at once instead of allocating.
+        def drew(*args):
+            raise RuntimeError("drew a block")
+        monkeypatch.setattr(sim, "_block_increments", drew)
+        monkeypatch.chdir(workdir)
+        argv = ["simulate", "--n-steps", "100000",
+                "--dump-paths", str(tmp_path / "dd"),
+                "--summary-out", str(tmp_path / "summary.json")]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "GiB" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_env_override(self, workdir):
         args = ["simulate", "--curve", "gcurve_p2.csv", "--n-paths", "64",
@@ -517,3 +535,91 @@ class TestHelp:
         proc = run_cli([cmd, "--help"], cwd=tmp_path)
         assert proc.returncode == 0
         assert "--config" in proc.stdout
+
+
+# Outputs recorded before eval_g dropped its slope and the one-path
+# Monte Carlo routes left the package; the value cases reach both tails
+# (c = +-9) and the free state (x = 1).
+GOLDEN_VALUE = {
+    (): (
+        '{"T": 1.0, "c": 0.0, "g_at_level": 0.8666881082549477, '
+        '"level": 0.5, "p": 2.0, "value": 0.8666881082549477, "x": 0.0}\n'),
+    ('--x', '1'): (
+        '{"T": 1.0, "c": 0.0, "g_at_level": 0.8666881082549477, '
+        '"level": 0.5, "p": 2.0, "value": 0.0, "x": 1.0}\n'),
+    ('--c', '9'): (
+        '{"T": 1.0, "c": 9.0, "g_at_level": 0.0, '
+        '"level": 0.9999999999999993, "p": 2.0, "value": 0.0, "x": 0.0}\n'),
+    ('--c', '-9'): (
+        '{"T": 1.0, "c": -9.0, "g_at_level": 1.0, '
+        '"level": 6.220960574271819e-16, "p": 2.0, "value": 1.0, "x": 0.0}\n'),
+    ('--T', '1.7', '--x', '0.25', '--c', '-0.3'): (
+        '{"T": 1.7, "c": -0.3, "g_at_level": 0.9080583561635436, '
+        '"level": 0.40901111320746447, "p": 2.0, '
+        '"value": 0.30046048549529014, "x": 0.25}\n'),
+    ('--T', '4', '--x', '0.5', '--c', '3.6'): (
+        '{"T": 4.0, "c": 3.6, "g_at_level": 0.23094782256308483, '
+        '"level": 0.9640696808870742, "p": 2.0, '
+        '"value": 0.014434238910192802, "x": 0.5}\n'),
+    ('--T', '0.25', '--x', '0.1', '--c', '-0.9'): (
+        '{"T": 0.25, "c": -0.9, "g_at_level": 0.9971972783538239, '
+        '"level": 0.03593031911292581, "p": 2.0, '
+        '"value": 3.2309191818663896, "x": 0.1}\n'),
+}
+GOLDEN_SIMULATE = (
+    '{"feasibility_violations": 0, "mean_cost": 0.4636910033050914, '
+    '"n_paths": 4106, "n_steps": 4, "params": {"T": 1.0, "c": 0.1, '
+    '"p": 2.0, "x": 0.2}, "seed": 6, "stderr": 0.0027201900073544004}\n')
+GOLDEN_DUMP_SHA256 = {
+    0: 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    1: '7e31210ec90eef07789d77a1da5c27af35bc34b2a88fe8f0e71a619457f640b4',
+    5: '33c5ea9aefed15c64985d3e5228e81d5d637ab9b4c35309e5df3bd273ecf2bed',
+    BLOCK + 3:
+        'c569bd4d90e894b97b25dca7ce309c4376440b4c46cb4e373fb1956133ffe0a5',
+}
+GOLDEN_EXPCASE = {
+    (): (
+        "value = 1.7182818284590451\n"
+        "optimal_rate = 1\n"
+        "witnesses: w.csv  final_gap = 0.0606\n",
+        "14c7ace57aee7be5c5dffa7fa1311db0d6ecb0db6a706063a4aee9e8e692ff0b"),
+    ("--T", "2", "--x", "0.3", "--lam", "1.5", "--c", "0.4",
+     "--n-list", "2,3,5,144,200"): (
+        "value = 1.3809176967581824\n"
+        "optimal_rate = 0.34999999999999998\n"
+        "witnesses: w.csv  final_gap = 0.0213\n",
+        "6b4045338bd12bb962e3dded1aacfbc3a58ce8726d3663ee6e3555b2c1a79d2d"),
+}
+
+
+class TestGoldenBits:
+    """Exact bytes of recorded command outputs: stdout, and the files
+    written, by sha256 (the dumped paths concatenated in name order)."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_VALUE))
+    def test_value(self, workdir, monkeypatch, capsys, case):
+        monkeypatch.chdir(workdir)
+        assert cli.main(["value", "--curve", "gcurve_p2.csv", *case]) == 0
+        assert capsys.readouterr().out == GOLDEN_VALUE[case]
+
+    @pytest.mark.parametrize("count", sorted(GOLDEN_DUMP_SHA256))
+    def test_simulate(self, workdir, tmp_path, monkeypatch, capsys, count):
+        monkeypatch.chdir(workdir)
+        assert cli.main(["simulate", "--n-paths", str(BLOCK + 10),
+                         "--n-steps", "4", "--seed", "6", "--x", "0.2",
+                         "--c", "0.1", "--dump-paths", str(tmp_path / "dd"),
+                         "--dump-count", str(count)]) == 0
+        assert capsys.readouterr().out == GOLDEN_SIMULATE
+        digest = hashlib.sha256()
+        for path in sorted((tmp_path / "dd").iterdir()):
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == GOLDEN_DUMP_SHA256[count]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_EXPCASE))
+    def test_expcase(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["expcase", "--out", "w.csv", *case]) == 0
+        out, csv_sha256 = GOLDEN_EXPCASE[case]
+        assert capsys.readouterr().out == out
+        assert (hashlib.sha256((tmp_path / "w.csv").read_bytes()).hexdigest()
+                == csv_sha256)

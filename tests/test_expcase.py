@@ -9,8 +9,7 @@ from targetcost.errors import DomainError
 from targetcost.expcase import (DualityWitness, duality_bound, duality_gap,
                                 duality_witness, entropy_closed_form,
                                 exp_cost_of_profile, exp_optimal_control,
-                                exp_value, save_witnesses, witness_rate,
-                                witness_sequence)
+                                exp_value, save_witnesses, witness_sequence)
 
 DEFAULT_NS = [4, 8, 16, 32, 64]
 
@@ -89,12 +88,6 @@ class TestProfileCost:
 
 
 class TestWitnesses:
-    def test_rate_is_positive_and_decaying_in_n(self):
-        zeta4 = witness_rate(4, 1.0)
-        zeta64 = witness_rate(64, 1.0)
-        assert zeta4(0.0) > 0.0
-        assert zeta64(0.0) < zeta4(0.0)
-
     def test_reference_sequence(self):
         ws, flags = witness_sequence(DEFAULT_NS, 1.0, 0.0)
         assert flags == {"mass_increasing": True, "entropy_decreasing": True}
@@ -157,8 +150,10 @@ class TestWitnesses:
         assert 0.0 < wit.mass < 1.0
 
     def test_witness_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n must be an integer >= 2"):
             duality_witness(1, 1.0, 0.0)
+        with pytest.raises(DomainError, match="T must be > 0"):
+            duality_witness(4, 0.0, 0.0)
         with pytest.raises(DomainError):
             DualityWitness(n=4, drift_integral=1.0, mass=1.5, entropy=0.1)
         with pytest.raises(DomainError):

@@ -6,38 +6,43 @@ import numpy as np
 import pytest
 
 from targetcost import sim
-from targetcost.errors import DomainError, UsageError
+from targetcost.errors import DomainError, ResourceError, UsageError
 from targetcost.normals import Params
-from targetcost.sim import (BLOCK, bsde_residual, dump_path_csv,
-                            mc_cost_estimate, nth_path, recorded_paths,
-                            run_optimal_control, _block_increments)
+from targetcost.sim import (BLOCK, MAX_LIVE_BYTES, bsde_residual,
+                            dump_path_csv, mc_cost_estimate, recorded_paths,
+                            _block_increments)
 from targetcost.verify import _perturbed_curve
 from targetcost.walk import dp_value
 
 from helpers import (exponential_form_control, mc_estimate_and_costs,
                      reference_bsde_residual, reference_mc_costs,
-                     terminal_blowup_medians)
+                     reference_path, terminal_blowup_medians)
 
 PARAMS = Params(2.0, 1.0, 0.0, 0.0)
 
 
+def first_path(curve, params, n_steps, seed):
+    """Path 0 of the stream layout, filled by recorded_paths."""
+    return next(recorded_paths(curve, params, n_steps, seed, 1))
+
+
 class TestBrownian:
-    def test_determinism(self):
-        a = nth_path(1.0, 64, 7, 0)
-        b = nth_path(1.0, 64, 7, 0)
+    def test_determinism(self, curve_p2):
+        a = first_path(curve_p2, PARAMS, 64, 7)
+        b = first_path(curve_p2, PARAMS, 64, 7)
         assert np.array_equal(a.W, b.W)
-        c = nth_path(1.0, 64, 8, 0)
+        c = first_path(curve_p2, PARAMS, 64, 8)
         assert not np.array_equal(a.W, c.W)
 
-    def test_shapes(self):
-        path = nth_path(2.0, 2, 1, 0)
+    def test_shapes(self, curve_p2):
+        path = first_path(curve_p2, Params(2.0, 2.0, 0.0, 0.0), 2, 1)
         assert len(path.W) == 3
         assert len(path.dW) == 2
         assert path.W[0] == 0.0
         assert path.times[-1] == 2.0
 
-    def test_increment_scale(self):
-        path = nth_path(4.0, 100, 3, 0)
+    def test_increment_scale(self, curve_p2):
+        path = first_path(curve_p2, Params(2.0, 4.0, 0.0, 0.0), 100, 3)
         assert np.allclose(np.diff(path.W), path.dW)
 
     def test_terminal_variance(self):
@@ -56,23 +61,23 @@ class TestBrownian:
         se = T * math.sqrt(2.0 / (len(w_T) - 1))
         assert abs(var - T) <= 3.0 * se
 
-    def test_path_matches_block_row(self):
+    def test_path_matches_block_row(self, curve_p2):
         # path i of the master seed equals row i of its block stream
         dw_block = _block_increments(5, 0, 3, 16, 1.0)
-        path2 = nth_path(16.0, 16, 5, 2)
-        assert np.array_equal(path2.dW, dw_block[2])
+        paths = list(recorded_paths(curve_p2, Params(2.0, 16.0, 0.0, 0.0),
+                                    16, 5, 3))
+        assert np.array_equal(paths[2].dW, dw_block[2])
 
-    def test_domain_errors(self):
+    def test_domain_errors(self, curve_p2):
         with pytest.raises(DomainError):
-            nth_path(1.0, 1, 0, 0)
+            first_path(curve_p2, PARAMS, 1, 0)
         with pytest.raises(DomainError):
-            nth_path(0.0, 10, 0, 0)
+            first_path(curve_p2, (2.0, 0.0, 0.0, 0.0), 10, 0)
 
 
 class TestOptimalControl:
     def test_state_one_means_idle(self, curve_p2):
-        path = nth_path(1.0, 100, 2, 0)
-        run_optimal_control(curve_p2, Params(2.0, 1.0, 1.0, 0.0), path)
+        path = first_path(curve_p2, Params(2.0, 1.0, 1.0, 0.0), 100, 2)
         assert np.all(path.u == 0.0)
         assert path.cost[-1] == 0.0
         assert np.all(path.X == 1.0)
@@ -80,8 +85,7 @@ class TestOptimalControl:
     def test_feasibility_both_classes(self, curve_p2):
         seen = set()
         for seed in range(40):
-            path = nth_path(1.0, 200, seed, 0)
-            run_optimal_control(curve_p2, PARAMS, path)
+            path = first_path(curve_p2, PARAMS, 200, seed)
             binding = path.W[-1] > 0.0
             seen.add(binding)
             assert np.all(path.u >= 0.0)
@@ -97,36 +101,23 @@ class TestOptimalControl:
 
     def test_closed_form_representation_agrees(self, curve_p2):
         for seed in (1, 5, 11):
-            path = nth_path(1.0, 400, seed, 0)
-            run_optimal_control(curve_p2, PARAMS, path)
+            path = first_path(curve_p2, PARAMS, 400, seed)
             u_exp = exponential_form_control(curve_p2, PARAMS, path)
             ref = path.u[:len(u_exp) - 1]
             rel = np.abs(u_exp[:-1] - ref) / np.maximum(np.abs(ref), 1e-30)
             assert np.max(rel) <= 1e-6
 
-    def test_horizon_mismatch(self, curve_p2):
-        path = nth_path(2.0, 50, 1, 0)
-        with pytest.raises(UsageError):
-            run_optimal_control(curve_p2, PARAMS, path)
-
     def test_p_mismatch(self, curve_p2):
-        path = nth_path(1.0, 50, 1, 0)
         with pytest.raises(UsageError):
-            run_optimal_control(curve_p2, Params(3.0, 1.0, 0.0, 0.0), path)
+            first_path(curve_p2, Params(3.0, 1.0, 0.0, 0.0), 50, 1)
 
     def test_csv_dump(self, curve_p2):
-        path = nth_path(1.0, 16, 4, 0)
-        run_optimal_control(curve_p2, PARAMS, path)
+        path = first_path(curve_p2, PARAMS, 16, 4)
         buf = io.StringIO()
         dump_path_csv(path, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,W,M,u,X,cost_running"
         assert len(lines) == 18
-
-    def test_dump_requires_filled_path(self):
-        path = nth_path(1.0, 16, 4, 0)
-        with pytest.raises(UsageError):
-            dump_path_csv(path, io.StringIO())
 
 
 class TestMcCost:
@@ -156,7 +147,7 @@ class TestMcCost:
         assert len(costs) == n_paths
 
     def test_path_layout_across_blocks(self, curve_p2):
-        # Path i of the estimate is the path nth_path regenerates from
+        # Path i of the estimate is the path regenerated alone from
         # (seed, i), on either side of a block boundary, and a shorter run
         # is a prefix of a longer one.
         n_steps, seed = 50, 11
@@ -164,8 +155,7 @@ class TestMcCost:
                                           n_steps, seed)
         assert len(costs) == BLOCK + 10
         for i in (0, BLOCK - 1, BLOCK, BLOCK + 9):
-            path = run_optimal_control(curve_p2, PARAMS,
-                                       nth_path(1.0, n_steps, seed, i))
+            path = reference_path(curve_p2, PARAMS, n_steps, seed, i)
             assert costs[i] == pytest.approx(path.cost[-1], rel=1e-12, abs=0.0)
         *_, head = mc_estimate_and_costs(curve_p2, PARAMS, 7, n_steps, seed)
         np.testing.assert_allclose(head, costs[:7], rtol=1e-12, atol=0.0)
@@ -212,15 +202,24 @@ class TestBlockStream:
         args = (curve_p2, 2.0, 1.0, 0.0, 2 * BLOCK - 5, 40, 0.3, 3)
         assert bsde_residual(*args) == reference_bsde_residual(*args)
 
+    def test_single_path_bsde_residual_matches_brownian_matrix(self,
+                                                               curve_p2):
+        # one path: the shared reduction's stderr is 0.0, as the n - 1
+        # divisor floored at 1 gave
+        args = (curve_p2, 2.0, 1.0, 0.0, 1, 40, 0.3, 3)
+        stats = bsde_residual(*args)
+        assert stats == reference_bsde_residual(*args)
+        assert stats.stderr == 0.0
+
     def test_recorded_paths_match_path_by_path(self, shots_all):
-        # Chunks of recorded rows across a block boundary give what nth_path
-        # and run_optimal_control give one path at a time.
+        # Chunks of recorded rows across a block boundary give what driving
+        # one path at a time gives.
         curve = shots_all[3.0].curve
         params = Params(3.0, 2.0, 0.3, 0.2)
         index = {0, 255, 256, BLOCK - 1, BLOCK, BLOCK + 2}
         for i, path in enumerate(recorded_paths(curve, params, 6, 8, BLOCK + 3)):
             if i in index:
-                ref = run_optimal_control(curve, params, nth_path(2.0, 6, 8, i))
+                ref = reference_path(curve, params, 6, 8, i)
                 for name in ("times", "dW", "W", "M", "u", "X", "cost"):
                     assert np.array_equal(getattr(path, name),
                                           getattr(ref, name)), (i, name)
@@ -269,6 +268,39 @@ class TestMcArguments:
     def test_bsde_residual_rejects(self, curve_p2, n_paths, n_steps):
         with pytest.raises(DomainError):
             bsde_residual(curve_p2, 2.0, 1.0, 0.0, n_paths, n_steps, 0.3, 1)
+
+
+class TestMemoryGuard:
+    """Requests whose two live blocks of increments would pass
+    MAX_LIVE_BYTES raise ResourceError before anything is drawn; here a
+    draw raises at once instead of allocating."""
+
+    AT_LIMIT = MAX_LIVE_BYTES // (2 * BLOCK * 8)  # steps at a full block
+
+    @pytest.fixture(autouse=True)
+    def no_draw(self, monkeypatch):
+        def drew(*args):
+            raise RuntimeError("drew a block")
+        monkeypatch.setattr(sim, "_block_increments", drew)
+
+    @pytest.mark.parametrize("n_paths, n_steps", [
+        (BLOCK, AT_LIMIT + 1), (BLOCK + 1, AT_LIMIT + 1), (10_000, 100_000)])
+    def test_over_the_limit_raises(self, curve_p2, n_paths, n_steps):
+        with pytest.raises(ResourceError, match="GiB"):
+            mc_cost_estimate(curve_p2, PARAMS, n_paths, n_steps, 1)
+        with pytest.raises(ResourceError):
+            bsde_residual(curve_p2, 2.0, 1.0, 0.0, n_paths, n_steps, 0.3, 1)
+        with pytest.raises(ResourceError):
+            next(recorded_paths(curve_p2, PARAMS, n_steps, 1, n_paths))
+
+    @pytest.mark.parametrize("n_paths, n_steps", [
+        (BLOCK, AT_LIMIT), (1, 100_000)])
+    def test_within_the_limit_draws(self, curve_p2, n_paths, n_steps):
+        with pytest.raises(RuntimeError, match="drew a block"):
+            mc_cost_estimate(curve_p2, PARAMS, n_paths, n_steps, 1)
+
+    def test_empty_dump_draws_nothing(self, curve_p2):
+        assert list(recorded_paths(curve_p2, PARAMS, 100_000, 1, 0)) == []
 
 
 class TestBsdeResidual:
