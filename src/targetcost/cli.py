@@ -95,7 +95,7 @@ def _load_checked_curve(curve_path, p):
 
 def cmd_calibrate(args):
     out = args.out or f"gcurve_p{args.p:g}"
-    result = shoot(args.p, args.epsilon, args.boundary_tol)
+    result = shoot(args.p, args.epsilon)
     curve = result.curve
     save_curve(curve, out + ".csv", out + ".json",
                meta={"g_mid": result.g_mid, "gamma": result.gamma,
@@ -236,7 +236,6 @@ def build_parser():
     add("calibrate", cmd_calibrate, [
         ("--p", dict(type=float, default=2.0, help="cost exponent > 1")),
         ("--epsilon", dict(type=float, default=1e-4, help="endpoint cutoff")),
-        ("--boundary-tol", dict(type=float, default=1e-3)),
         ("--out", dict(default="", help="output prefix (csv + json)")),
     ])
     add("value", cmd_value, [
@@ -299,8 +298,6 @@ def _validate(args):
         raise UsageError("--p must be > 1")
     if getattr(args, "epsilon", None) is not None and not (CDF_MIN <= args.epsilon < 0.1):
         raise UsageError(f"--epsilon must lie in [{CDF_MIN:.4g}, 0.1)")
-    if getattr(args, "boundary_tol", None) is not None and not (0.0 < args.boundary_tol < 0.5):
-        raise UsageError("--boundary-tol must lie in (0, 0.5)")
     if getattr(args, "x", None) is not None and args.command != "expcase" \
             and not (0.0 <= args.x <= 1.0):
         raise UsageError("--x must lie in [0, 1]")

@@ -32,6 +32,8 @@ def exp_value(T, x, lam):
         raise DomainError("T must be > 0")
     if not (lam > 0.0):
         raise DomainError("lam must be > 0")
+    if not math.isfinite(x):
+        raise DomainError("x must be a finite number")
     gap = max(1.0 - x, 0.0)
     return T * math.expm1(lam * gap / T)
 
@@ -100,6 +102,8 @@ def duality_witness(n, T, c):
         raise DomainError("n must be an integer >= 2")
     if not (T > 0.0):
         raise DomainError("T must be > 0")
+    if not math.isfinite(c):
+        raise DomainError("c must be a finite number")
     r = _regularizer(n)
     drift_integral = n ** (1.0 / 3.0) * ((T + r) ** (1.0 / n) - r ** (1.0 / n))
     mass = 1.0 - std_normal_cdf((c - drift_integral) / math.sqrt(T))

@@ -15,15 +15,16 @@ expectation as the grid refines).
 Randomness: paths are grouped into fixed blocks of 4096; block b of master
 seed s draws its increment matrix from Philox keyed by the counter pair
 (s, b), and path i occupies row i mod 4096 of its block, so any path can be
-regenerated from (seed, index) alone.  Each block is driven straight from
-its increments, with a running sum in place of a matrix of Brownian values.
-The blocks are driven one after another, in path order, while one helper
-thread draws the next block's increments (the Philox fill, its scaling and
-the copy into step-major order run outside the interpreter lock); so two
-blocks' increments are alive at a time, about 131 MB at 2000 steps, and a
-request past MAX_LIVE_BYTES raises ResourceError before any draw.
-recorded_paths gives filled paths in the same layout.  Aggregation runs in
-path order with exact summation.
+regenerated from (seed, index) alone.  One stream, _blocks, yields the
+blocks in path order to all three routes: mc_cost_estimate, bsde_residual
+and recorded_paths (the filled paths `simulate --dump-paths` writes).
+While the caller works on one block, a helper thread draws the next (the
+Philox fill, its scaling and the copy into step-major order run outside
+the interpreter lock); so two blocks' increments are alive at a time,
+about 131 MB at 2000 steps, and a request past MAX_LIVE_BYTES raises
+ResourceError before any draw.  Each block is driven straight from its
+increments, with a running sum in place of a matrix of Brownian values.
+Aggregation runs in path order with exact summation.
 """
 
 from __future__ import annotations
@@ -118,9 +119,7 @@ def _check_mc(n_steps, n_paths):
 
 def _gain(curve, p, zscore):
     """Feedback gain g(M)^{1/(p-1)} at the level M = cdf(zscore)."""
-    gval = eval_g_z(curve, zscore)
-    expo = 1.0 / (p - 1.0)
-    return gval if expo == 1.0 else gval ** expo
+    return eval_g_z(curve, zscore) ** (1.0 / (p - 1.0))
 
 
 def _drive_block(curve, params, times, dW, *, record=False):
@@ -155,7 +154,7 @@ def _drive_block(curve, params, times, dW, *, record=False):
             u_rec[:, k] = u
             X_rec[:, k] = 1.0 - omx
             c_rec[:, k] = cost
-        cost += (u * u if p == 2.0 else u ** p) * (t_next - t_k)
+        cost += u ** p * (t_next - t_k)
         omx *= np.exp(kappa * math.log((T - t_next) / tau))
         w += dW[:, k]
 
@@ -187,27 +186,6 @@ def _drive_block(curve, params, times, dW, *, record=False):
     return cost, violations, (W_rec, M_rec, u_rec, X_rec, c_rec)
 
 
-def recorded_paths(curve, params, n_steps, seed, count):
-    """Filled paths 0, 1, ..., count - 1 of the stream layout, in order:
-    path i is row i mod BLOCK of stream block i // BLOCK, each block's
-    leading rows drawn once and driven _RECORD_ROWS at a time."""
-    params = curve.check_params(params)
-    _check_mc(n_steps, max(count, 1))
-    times = np.linspace(0.0, params.T, n_steps + 1)
-    sqrt_dt = math.sqrt(params.T / n_steps)
-    for i0 in range(0, count, BLOCK):
-        block = _block_increments(seed, i0 // BLOCK, min(BLOCK, count - i0),
-                                  n_steps, sqrt_dt)
-        for r0 in range(0, len(block), _RECORD_ROWS):
-            dW = block[r0:r0 + _RECORD_ROWS]
-            _, _, (W, M, u, X, cost) = _drive_block(curve, params, times, dW,
-                                                    record=True)
-            for j in range(len(dW)):
-                yield SimPath(n_steps=int(n_steps), times=times, dW=dW[j],
-                              W=W[j], seed=int(seed), M=M[j], u=u[j], X=X[j],
-                              cost=cost[j])
-
-
 def _mean_stderr(values):
     """Mean of the per-path values by exact summation, and its standard
     error with the n - 1 divisor (0.0 for a single path)."""
@@ -219,30 +197,44 @@ def _mean_stderr(values):
     return mean, math.sqrt(var / n)
 
 
-def _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt):
-    """[worker(dW) for each block's increments dW], in path order.
-
-    While the caller runs the worker on one block, a helper thread draws
-    the next block's increments; the helper is joined before this returns
-    or raises.
-    """
+def _blocks(seed, n_paths, n_steps, T):
+    """The increments of paths 0 .. n_paths - 1, block by block in path
+    order, a helper thread drawing the next block while the caller works on
+    one; the helper is joined when the stream ends, raises or is closed."""
     # Imported here, so that commands which draw no paths do not pay for it
     # at start-up.
     from concurrent.futures import ThreadPoolExecutor
 
     def draw(i0):
         return _block_increments(seed, i0 // BLOCK, min(BLOCK, n_paths - i0),
-                                 n_steps, sqrt_dt)
+                                 n_steps, math.sqrt(T / n_steps))
 
-    results = []
+    if n_paths == 0:
+        return
     with ThreadPoolExecutor(max_workers=1) as helper:
         upcoming = helper.submit(draw, 0)
         for i0 in range(0, n_paths, BLOCK):
-            dW = upcoming.result()
+            block = upcoming.result()
             if i0 + BLOCK < n_paths:
                 upcoming = helper.submit(draw, i0 + BLOCK)
-            results.append(worker(dW))
-    return results
+            yield block
+
+
+def recorded_paths(curve, params, n_steps, seed, count):
+    """Filled paths 0, 1, ..., count - 1 of the stream, in order, each
+    block's rows driven _RECORD_ROWS at a time."""
+    params = curve.check_params(params)
+    _check_mc(n_steps, max(count, 1))
+    times = np.linspace(0.0, params.T, n_steps + 1)
+    for block in _blocks(seed, count, n_steps, params.T):
+        for r0 in range(0, len(block), _RECORD_ROWS):
+            dW = block[r0:r0 + _RECORD_ROWS]
+            _, _, (W, M, u, X, cost) = _drive_block(curve, params, times, dW,
+                                                    record=True)
+            for j in range(len(dW)):
+                yield SimPath(n_steps=int(n_steps), times=times, dW=dW[j],
+                              W=W[j], seed=int(seed), M=M[j], u=u[j], X=X[j],
+                              cost=cost[j])
 
 
 def mc_cost_estimate(curve, params, n_paths, n_steps, seed):
@@ -256,15 +248,13 @@ def mc_cost_estimate(curve, params, n_paths, n_steps, seed):
     params = curve.check_params(params)
     _check_mc(n_steps, n_paths)
     times = np.linspace(0.0, params.T, n_steps + 1)
-    sqrt_dt = math.sqrt(params.T / n_steps)
-
-    def worker(dW):
-        cost, violations, _ = _drive_block(curve, params, times, dW)
-        return cost, violations
-
-    results = _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt)
-    mean, stderr = _mean_stderr(np.concatenate([r[0] for r in results]))
-    return mean, stderr, sum(r[1] for r in results)
+    costs, violations = [], 0
+    for dW in _blocks(seed, n_paths, n_steps, params.T):
+        cost, viol, _ = _drive_block(curve, params, times, dW)
+        costs.append(cost)
+        violations += viol
+    mean, stderr = _mean_stderr(np.concatenate(costs))
+    return mean, stderr, violations
 
 
 def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
@@ -281,7 +271,6 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
     if not (0.0 < delta < T / 2.0):
         raise DomainError("delta must lie in (0, T/2)")
     times = np.linspace(0.0, T, n_steps + 1)
-    sqrt_dt = math.sqrt(T / n_steps)
     dt = T / n_steps
     # steps k with t_{k+1} <= T - delta
     k_end = int(np.searchsorted(times, T - delta + 1e-12)) - 1
@@ -294,11 +283,11 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
         gval, gz = eval_g_z(curve, (c - w_col) / math.sqrt(tau), slope=True)
         return gval / tau ** (p - 1.0), -gz / tau ** (p - 0.5)
 
-    def worker(dW):
+    path_sums, sq_sums, z_min = [], [], math.inf
+    for dW in _blocks(seed, n_paths, n_steps, T):
         w = np.zeros(dW.shape[0])  # running W: the additions np.cumsum makes
         path_sum = np.zeros(dW.shape[0])
         sq_sum = 0.0
-        z_min = math.inf
         y_k, z_k = y_and_z(times[0], w)
         for k in range(k_end):
             w += dW[:, k]
@@ -308,12 +297,10 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
             sq_sum += float(np.dot(r, r))
             z_min = min(z_min, float(np.min(z_k)))
             y_k, z_k = y_next, z_next
-        return path_sum, sq_sum, z_min
-
-    results = _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt)
-    per_path_mean = np.concatenate([r[0] for r in results]) / k_end
-    sq_total = math.fsum(r[1] for r in results)
-    z_min = min(r[2] for r in results)
+        path_sums.append(path_sum)
+        sq_sums.append(sq_sum)
+    per_path_mean = np.concatenate(path_sums) / k_end
+    sq_total = math.fsum(sq_sums)
     mean, stderr = _mean_stderr(per_path_mean)
     rms = math.sqrt(sq_total / (n_paths * k_end))
     return BsdeResidualStats(

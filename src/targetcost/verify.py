@@ -16,7 +16,8 @@ import numpy as np
 
 from . import expcase
 from .normals import Params
-from .ode import GCurve, chord_lower_bound, eval_g_value, policy_cost, shoot
+from .ode import (DEFAULT_BOUNDARY_TOL, GCurve, chord_lower_bound, eval_g_value,
+                  policy_cost, shoot)
 from .sim import bsde_residual, mc_cost_estimate
 from .walk import dp_g_profile, dp_value
 
@@ -55,7 +56,8 @@ def suite_gcurve(budget, solve):
             chord = gs[a] * (1 - lam) + gs[b] * lam
             worst_chord = max(worst_chord, chord - gs[i])
         curve_ok &= worst_chord <= 1e-6
-        curve_ok &= curve.left_residual <= 1e-3 and curve.right_residual <= 1e-3
+        curve_ok &= max(curve.left_residual,
+                        curve.right_residual) <= DEFAULT_BOUNDARY_TOL
         details[str(p)] = {k: v for k, (ok_k, v) in report.items()}
         details[str(p)]["worst_chord_gap"] = worst_chord
         details[str(p)]["boundary"] = [curve.left_residual, curve.right_residual]

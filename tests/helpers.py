@@ -14,8 +14,8 @@ package's one-pass writer must reproduce.
 inner_min (the Bellman split with its minimizer) and refinement_gap are
 test-only wrappers: they call walk._bellman_min and walk.dp_value, so the
 tests that use them check the package's own lattice code.
-mc_estimate_and_costs likewise runs the package's own Monte Carlo blocks
-(sim._run_blocks, sim._drive_block) and also returns the per-path costs
+mc_estimate_and_costs likewise runs the package's own Monte Carlo stream
+(sim._blocks, sim._drive_block) and also returns the per-path costs
 that paired comparisons need; its own reduction of them checks
 sim._mean_stderr bit for bit.
 
@@ -42,8 +42,8 @@ from targetcost.errors import DomainError
 from targetcost.normals import std_normal_cdf, std_normal_pdf
 from targetcost.ode import DEFAULT_EPSILON, eval_g_z, solve_grid
 from targetcost.sim import (BLOCK, BsdeResidualStats, SimPath,
-                            _block_increments, _drive_block, _gain,
-                            _run_blocks)
+                            _block_increments, _blocks, _drive_block,
+                            _gain)
 from targetcost.walk import _bellman_min, dp_value
 
 # The directory holding the package this test process imported.  Putting it
@@ -292,19 +292,16 @@ def reference_mc_costs(curve, params, n_paths, n_steps, seed):
 
 def mc_estimate_and_costs(curve, params, n_paths, n_steps, seed):
     """mc_cost_estimate's (mean, stderr, violations) and, fourth, its
-    per-path costs in path order: the same blocks from sim._run_blocks,
-    driven by sim._drive_block and reduced the same way."""
+    per-path costs in path order: the same blocks from sim._blocks, driven
+    by sim._drive_block and reduced the same way."""
     params = curve.check_params(params)
     times = np.linspace(0.0, params.T, n_steps + 1)
-    sqrt_dt = math.sqrt(params.T / n_steps)
-
-    def worker(dW):
-        cost, violations, _ = _drive_block(curve, params, times, dW)
-        return cost, violations
-
-    results = _run_blocks(worker, seed, n_paths, n_steps, sqrt_dt)
-    costs = np.concatenate([r[0] for r in results])
-    violations = sum(r[1] for r in results)
+    costs, violations = [], 0
+    for dW in _blocks(seed, n_paths, n_steps, params.T):
+        cost, viol, _ = _drive_block(curve, params, times, dW)
+        costs.append(cost)
+        violations += viol
+    costs = np.concatenate(costs)
     mean = math.fsum(costs) / n_paths
     stderr = 0.0
     if n_paths > 1:

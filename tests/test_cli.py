@@ -378,6 +378,18 @@ class TestExpcase:
         assert message in err
         assert not (tmp_path / "witnesses.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--x", "nan"), ("--x", "-inf"), ("--x", "inf"),
+        ("--c", "nan"), ("--c", "-inf")])
+    def test_non_finite_input_is_usage_error(self, tmp_path, monkeypatch,
+                                             capsys, flag, value):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["expcase", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag[2:]} must be a finite number\n"
+        assert not (tmp_path / "witnesses.csv").exists()
+
     def test_sequence_from_two(self, tmp_path):
         # n = 2 puts the entropy antiderivative on its logarithmic branch
         proc = run_cli(["expcase", "--n-list", "2,4", "--out", "w.csv"],

@@ -59,6 +59,9 @@ class TestClosedForm:
             exp_value(0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             exp_value(1.0, 0.0, 0.0)
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="x must be a finite number"):
+                exp_value(1.0, x, 1.0)
 
 
 class TestProfileCost:
@@ -154,6 +157,8 @@ class TestWitnesses:
             duality_witness(1, 1.0, 0.0)
         with pytest.raises(DomainError, match="T must be > 0"):
             duality_witness(4, 0.0, 0.0)
+        with pytest.raises(DomainError, match="c must be a finite number"):
+            duality_witness(4, 1.0, math.nan)
         with pytest.raises(DomainError):
             DualityWitness(n=4, drift_integral=1.0, mass=1.5, entropy=0.1)
         with pytest.raises(DomainError):

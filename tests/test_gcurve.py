@@ -88,8 +88,6 @@ class TestIntegrate:
         dict(p=float("nan")),
         dict(p=float("inf")),
         dict(p=2.0, epsilon=0.0),
-        dict(p=2.0, boundary_tol=0.0),
-        dict(p=2.0, boundary_tol=0.5),
     ])
     def test_input_validation(self, kwargs):
         # the kernel solve's own checks; TestShoot covers p = 1 and a wide
@@ -104,6 +102,15 @@ class TestShoot:
         assert shot_p2.gamma == pytest.approx(TRUE_GAMMA_P2, abs=0.02)
         assert shot_p2.curve.left_residual <= 1e-3
         assert shot_p2.curve.right_residual <= 1e-3
+
+    @pytest.mark.parametrize("epsilon", [1e-8, 1e-4, 1e-2, 0.09])
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 7.0, 50.0])
+    def test_stored_ends_are_exactly_one_and_zero(self, p, epsilon):
+        # Both Newton solves hold the chord's end values and the Richardson
+        # step keeps them, so the boundary residuals are exactly 0; a solve
+        # that stops holding the ends has to define what they measure.
+        gs = shoot(p, epsilon).curve.gs
+        assert (gs[0], gs[-1]) == (1.0, 0.0)
 
     def test_p2_agrees_with_walk_program(self, shot_p2):
         oracle = dp_value(2000, 1.0, 0.0, 2.0)

@@ -238,6 +238,20 @@ class TestBlockStream:
         assert max(seen) == before + 1
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("drop", ["close", "del"])
+    def test_dump_dropped_after_one_path_joins(self, curve_p2, drop):
+        # block 1 is already submitted to the helper when the dump stops
+        # after path 0
+        before = threading.active_count()
+        paths = recorded_paths(curve_p2, PARAMS, 10, 1, 2 * BLOCK + 1)
+        next(paths)
+        assert threading.active_count() == before + 1
+        if drop == "close":
+            paths.close()
+        else:
+            del paths
+        assert threading.active_count() == before
+
     def test_error_on_second_block_propagates_and_joins(self, curve_p2,
                                                          monkeypatch):
         n_steps, calls = 10, []
@@ -273,25 +287,31 @@ class TestMcArguments:
 class TestMemoryGuard:
     """Requests whose two live blocks of increments would pass
     MAX_LIVE_BYTES raise ResourceError before anything is drawn; here a
-    draw raises at once instead of allocating."""
+    draw is recorded and raises at once instead of allocating (a draw on
+    the helper thread whose result is never read raises nowhere)."""
 
     AT_LIMIT = MAX_LIVE_BYTES // (2 * BLOCK * 8)  # steps at a full block
 
     @pytest.fixture(autouse=True)
-    def no_draw(self, monkeypatch):
+    def draws(self, monkeypatch):
+        calls = []
+
         def drew(*args):
+            calls.append(args)
             raise RuntimeError("drew a block")
         monkeypatch.setattr(sim, "_block_increments", drew)
+        return calls
 
     @pytest.mark.parametrize("n_paths, n_steps", [
         (BLOCK, AT_LIMIT + 1), (BLOCK + 1, AT_LIMIT + 1), (10_000, 100_000)])
-    def test_over_the_limit_raises(self, curve_p2, n_paths, n_steps):
+    def test_over_the_limit_raises(self, curve_p2, draws, n_paths, n_steps):
         with pytest.raises(ResourceError, match="GiB"):
             mc_cost_estimate(curve_p2, PARAMS, n_paths, n_steps, 1)
         with pytest.raises(ResourceError):
             bsde_residual(curve_p2, 2.0, 1.0, 0.0, n_paths, n_steps, 0.3, 1)
         with pytest.raises(ResourceError):
             next(recorded_paths(curve_p2, PARAMS, n_steps, 1, n_paths))
+        assert draws == []
 
     @pytest.mark.parametrize("n_paths, n_steps", [
         (BLOCK, AT_LIMIT), (1, 100_000)])
@@ -299,8 +319,9 @@ class TestMemoryGuard:
         with pytest.raises(RuntimeError, match="drew a block"):
             mc_cost_estimate(curve_p2, PARAMS, n_paths, n_steps, 1)
 
-    def test_empty_dump_draws_nothing(self, curve_p2):
+    def test_empty_dump_draws_nothing(self, curve_p2, draws):
         assert list(recorded_paths(curve_p2, PARAMS, 100_000, 1, 0)) == []
+        assert draws == []
 
 
 class TestBsdeResidual:
