@@ -39,6 +39,9 @@ EXIT_VERIFY = 4
 
 DEFAULT_SEED = 12345
 
+# Most levels `oracle --profile` takes; its level lists grow with COUNT.
+MAX_PROFILE_LEVELS = 100_000
+
 
 def _config_flags(path, command, options):
     """The config file's `key = value` lines as `--key=value` tokens.  Keys
@@ -134,6 +137,9 @@ def cmd_oracle(args):
             raise UsageError(f"--profile expects LO:HI:COUNT, got {args.profile!r}") from exc
         if not (0.0 < lo <= hi < 1.0 and count >= 1):
             raise UsageError("--profile needs 0 < LO <= HI < 1 and COUNT >= 1")
+        if count > MAX_PROFILE_LEVELS:
+            raise ResourceError(f"--profile COUNT {count} is above the limit of "
+                                f"{MAX_PROFILE_LEVELS} levels")
         levels = list(np.linspace(lo, hi, count))
         profile = dp_g_profile(args.n, args.p, levels, tie=args.tie)
         out = args.out or "oracle_profile.csv"

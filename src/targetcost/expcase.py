@@ -26,22 +26,27 @@ from .normals import std_normal_cdf
 REGULARIZER_FLOOR = 1e-300
 
 
-def exp_value(T, x, lam):
-    """T * (exp(lam * (1-x)+ / T) - 1); independent of the threshold."""
+def _check_horizon_state(T, x):
+    """A finite horizon T > 0 and a finite state x, in Params' wording."""
+    for name, v in (("T", T), ("x", x)):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be a finite number")
     if not (T > 0.0):
         raise DomainError("T must be > 0")
+
+
+def exp_value(T, x, lam):
+    """T * (exp(lam * (1-x)+ / T) - 1); independent of the threshold."""
+    _check_horizon_state(T, x)
     if not (lam > 0.0):
         raise DomainError("lam must be > 0")
-    if not math.isfinite(x):
-        raise DomainError("x must be a finite number")
     gap = max(1.0 - x, 0.0)
     return T * math.expm1(lam * gap / T)
 
 
 def exp_optimal_control(T, x):
     """Constant rate (1-x)+ / T."""
-    if not (T > 0.0):
-        raise DomainError("T must be > 0")
+    _check_horizon_state(T, x)
     return max(1.0 - x, 0.0) / T
 
 

@@ -15,10 +15,11 @@ The terminal layer is 0 below the first binding index J and infinite
 every terminal descendant binds costs exactly (m dt)^{1-p}, the price of
 closing the gap at constant speed, and a node none of whose descendants
 bind costs 0.  The sweep therefore works on a live band of nodes only:
-below it nodes are 0 or smaller than TINY, above it they equal
-(m dt)^{1-p} to CERTAIN_RTOL and are filled from that formula.  At
-n = 8000 the band holds about a quarter of the triangle's nodes.  A sweep
-allocates its layer and two scratch rows once and updates them in place.
+below it nodes are 0 or under a cut-off whose zeroing moves the root by
+under 1/128 of an ulp (_floor), above it they equal (m dt)^{1-p} to
+CERTAIN_RTOL and are filled from that formula.  At n = 8000 the band holds
+about an eighth of the triangle's nodes.  A sweep allocates its layer and
+two scratch rows once and updates them in place.
 
 A node's value depends only on its distance to J and the steps left, so a
 whole profile of thresholds takes one sweep: on a terminal layer widened
@@ -35,8 +36,8 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .normals import Params, std_normal_quantile
 
-# Band cut-offs: a node below TINY is taken as 0, and a node within
-# CERTAIN_RTOL (relative) of (m dt)^{1-p} is taken as equal to it.
+# Band cut-offs: a node below _floor's cut-off, at least TINY, is taken as
+# 0, and one within CERTAIN_RTOL (relative) of (m dt)^{1-p} as equal to it.
 TINY = 1e-300
 CERTAIN_RTOL = 1e-15
 
@@ -61,9 +62,32 @@ def _bellman_min(kappa1, e, p, out=None, work=None):
     return np.multiply(e, t, out=out)
 
 
-def _sweep(width, J, n, dt, p):
+def _floor(n, J, dt, p):
+    """Cut-off below which the sweep takes a node as 0; nodes j >= J bind.
+
+    The root is at least LB = P(bind) (n dt)^{1-p}: the moves of a binding
+    path close the whole gap, so by Hoelder it costs at least (n dt)^{1-p},
+    and P(bind) >= C(n, j) 2^-n at j = max(J, ceil(n/2)).  The Bellman
+    minimum B is nondecreasing and 1-Lipschitz,
+    B'(e) = (e^{-q} / (kappa1^{-q} + e^{-q}))^p <= 1, and a node averages
+    its children with weights 1/2, so zeroing the nodes under a cut-off
+    moves each layer by at most the layer below's move plus the cut-off.
+    At 2^-60 LB / n the root moves by at most 2^-60 LB <= 2^-60 root in
+    exact arithmetic, at most 1/128 of an ulp, and the root, at least LB,
+    is never cut.  Where this falls under TINY, or nothing binds, the
+    cut-off is TINY.
+    """
+    if J > n:
+        return TINY
+    j = max(J, (n + 1) // 2)
+    log_lb = (math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+              - n * math.log(2.0) + (1.0 - p) * math.log(n * dt))
+    return max(TINY, math.exp(log_lb - 60.0 * math.log(2.0) - math.log(n)))
+
+
+def _sweep(width, J, n, dt, p, floor):
     """Backward sweep over n steps from a terminal layer of `width` nodes
-    whose nodes j >= J bind.
+    whose nodes j >= J bind, taking nodes below `floor` as 0.
 
     Yields (psi, lo, hi, certain) for each layer m = 1..n, which has
     width - m nodes: those below lo are 0, psi[lo:hi] are live and the rest
@@ -74,6 +98,11 @@ def _sweep(width, J, n, dt, p):
     kappa1 = dt ** (1.0 - p)
     psi = np.zeros(width)
     e_row, work_row = np.empty(width), np.empty(width)
+    add, multiply, divide, item = np.add, np.multiply, np.divide, psi.item
+    # p = 2: B(s/2) = s (0.5 / (1 + s / (2 kappa1))) has the bits of halving
+    # s first, as halving and doubling are exact, unless 2 kappa1 overflows
+    two_kappa1 = 2.0 * kappa1
+    fold = p == 2.0 and two_kappa1 < math.inf
     # layer 1: a node with a binding child pays kappa1, the others nothing
     lo = hi = min(max(J - 1, 0), width - 1)
     certain = kappa1
@@ -84,15 +113,21 @@ def _sweep(width, J, n, dt, p):
         if lo > 0:
             psi[lo - 1] = 0.0
         psi[hi] = certain
-        a, b = max(lo - 1, 0), min(hi, width - m)
-        e = np.add(psi[a:b], psi[a + 1:b + 1], out=e_row[:b - a])
-        np.multiply(e, 0.5, out=e)
-        _bellman_min(kappa1, e, p, out=psi[a:b], work=work_row[:b - a])
+        a, b = lo - (lo > 0), (hi if hi < width - m else width - m)
+        s = add(psi[a:b], psi[a + 1:b + 1], out=e_row[:b - a])
+        if fold:
+            w = divide(s, two_kappa1, out=work_row[:b - a])
+            add(w, 1.0, out=w)
+            divide(0.5, w, out=w)
+            multiply(s, w, out=psi[a:b])
+        else:
+            multiply(s, 0.5, out=s)
+            _bellman_min(kappa1, s, p, out=psi[a:b], work=work_row[:b - a])
         certain = (m * dt) ** (1.0 - p)
         tol = CERTAIN_RTOL * certain
-        while a < b and psi.item(a) < TINY:
+        while a < b and item(a) < floor:
             a += 1
-        while b > a and abs(psi.item(b - 1) - certain) <= tol:
+        while b > a and abs(item(b - 1) - certain) <= tol:
             b -= 1
         lo, hi = a, b
         yield psi, lo, hi, certain
@@ -106,8 +141,8 @@ def _expand(size, psi, lo, hi, certain):
     return layer
 
 
-def _last_layer(width, J, n, dt, p):
-    for band in _sweep(width, J, n, dt, p):
+def _last_layer(width, J, n, dt, p, floor):
+    for band in _sweep(width, J, n, dt, p, floor):
         pass
     return _expand(width - n, *band)
 
@@ -147,7 +182,7 @@ def dp_value(n, T, c, p, tie="geq"):
     """
     dt = _check_args(n, T, c, p, tie)
     J = int(_first_binding(n, dt, c, tie))
-    return float(_last_layer(n + 1, J, n, dt, p)[0])
+    return float(_last_layer(n + 1, J, n, dt, p, _floor(n, J, dt, p))[0])
 
 
 def dp_g_profile(n, p, levels, tie="geq"):
@@ -167,7 +202,9 @@ def dp_g_profile(n, p, levels, tie="geq"):
     js = _first_binding(n, dt, [float(std_normal_quantile(y)) for y in levels],
                         tie).tolist()
     top = max(js)
-    roots = _last_layer(n + 1 + top - min(js), top, n, dt, p)
+    # the level least likely to bind, of those that can, sets the cut-off
+    floor = _floor(n, max((j for j in js if j <= n), default=n + 1), dt, p)
+    roots = _last_layer(n + 1 + top - min(js), top, n, dt, p, floor)
     return [(float(y), float(roots[top - j])) for y, j in zip(levels, js)]
 
 

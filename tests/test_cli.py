@@ -228,6 +228,24 @@ class TestOracle:
         assert proc.returncode == 2
         assert "--profile" in proc.stderr
 
+    def test_profile_count_above_the_cap_exits_3(self, tmp_path):
+        count = cli.MAX_PROFILE_LEVELS + 1
+        proc = run_cli(["oracle", "--n", "100", "--profile", f"0.1:0.9:{count}",
+                        "--out", "prof.csv"], cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: --profile COUNT {count} is above the "
+                               f"limit of {cli.MAX_PROFILE_LEVELS} levels\n")
+        assert not (tmp_path / "prof.csv").exists()
+
+    def test_profile_count_at_the_cap_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_PROFILE_LEVELS", 3)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["oracle", "--n", "100", "--profile", "0.1:0.9:3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert cli.main(["oracle", "--n", "100", "--profile", "0.1:0.9:4"]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestSimulate:
     def test_summary_and_reproducible_dump(self, workdir):

@@ -63,6 +63,23 @@ class TestClosedForm:
             with pytest.raises(DomainError, match="x must be a finite number"):
                 exp_value(1.0, x, 1.0)
 
+    @pytest.mark.parametrize("T, x, message", [
+        (1.0, math.nan, "x must be a finite number"),
+        (1.0, math.inf, "x must be a finite number"),
+        (1.0, -math.inf, "x must be a finite number"),
+        (math.nan, 0.0, "T must be a finite number"),
+        (math.inf, 0.0, "T must be a finite number"),
+        (0.0, 0.0, "T must be > 0"),
+        (-1.0, 0.0, "T must be > 0"),
+    ])
+    def test_control_and_value_reject_bad_horizon_or_state(self, T, x, message):
+        # before, the control returned nan at x = nan, inf at x = -inf and
+        # 0.0 at T = inf, and the value nan at T = inf
+        with pytest.raises(DomainError, match=message):
+            exp_optimal_control(T, x)
+        with pytest.raises(DomainError, match=message):
+            exp_value(T, x, 1.0)
+
 
 class TestProfileCost:
     def test_constant_profile_matches_value(self):

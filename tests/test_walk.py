@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from targetcost.errors import DomainError, ResourceError
 from targetcost.normals import std_normal_cdf, std_normal_quantile
-from targetcost.walk import (_bellman_min, _expand, _first_binding, _sweep,
-                             dp_g_profile, dp_value, save_profile)
+from targetcost.walk import (TINY, _bellman_min, _expand, _first_binding,
+                             _floor, _sweep, dp_g_profile, dp_value,
+                             save_profile)
 
 from helpers import (inner_min, reference_dp_value, refinement_gap,
                      scan_min_split)
@@ -168,6 +169,28 @@ class TestBand:
                 assert abs(value - ref) <= max(1e-13 * ref, 1e-300), \
                     (c, tie, value, ref)
 
+    @pytest.mark.parametrize("n", [2, 3, 101, 1000, 4000])
+    @pytest.mark.parametrize("p", [1.2, 2.0, 7.0])
+    def test_cut_off_is_within_its_bound(self, p, n):
+        # the argument in _floor needs n * cut-off <= 2^-60 * root, and a
+        # cut-off at TINY where that bound would fall under it
+        for T in (0.25, 4.0):
+            for k in (-9.0, -1.0, 0.0, 1.0, 6.0, 9.0):
+                dt, c = T / n, k * math.sqrt(T)
+                J = int(_first_binding(n, dt, c, "geq"))
+                floor, root = _floor(n, J, dt, p), dp_value(n, T, c, p)
+                assert floor >= TINY
+                assert floor == TINY or n * floor <= 2.0 ** -60 * root, (T, k)
+
+    def test_live_nodes_at_the_benchmark_size(self):
+        # the cut-off relative to the root keeps about half of the nodes
+        # a cut at TINY alone keeps (7 855 508 at n = 8000, p = 2, c = 0)
+        n = 8000
+        J = int(_first_binding(n, 1.0 / n, 0.0, "geq"))
+        live = sum(hi - lo for _psi, lo, hi, _certain in _sweep(
+            n + 1, J, n, 1.0 / n, 2.0, _floor(n, J, 1.0 / n, 2.0)))
+        assert live <= 4_000_000
+
     @pytest.mark.parametrize("n", [2, 3, 101])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_free_limit_is_zero(self, p, n):
@@ -214,6 +237,42 @@ GOLDEN_PROFILE = (
     "0x1.cf3a099015241p-1", "0x1.bee40d8625a91p-1", "0x1.9f5fa2ad1160ep-1",
     "0x1.77097199f7435p-1", "0x1.34e7461f59c72p-1", "0x1.ae77808823234p-2",
 )
+# float.hex of dp_value(n, T, k sqrt(T), p, tie) for k in DEEP_KS, recorded
+# before the sweep's cut-off became relative to a lower bound on the root
+# (commit da6150f).  No threshold lands on a node, so both ties give these
+# bits.  The roots run from 2^12 down to 2^-64, so a cut-off that is not
+# tied to the root's own size shows here.
+DEEP_KS = (-9, -6, 6, 9)
+GOLDEN_DEEP = {
+    (0.25, 501, 1.2): ("0x1.51cb453b9536cp+0", "0x1.51cb453b70058p+0",
+                       "0x1.fcc5dd06118d0p-29", "0x1.597eb680c0867p-63"),
+    (0.25, 501, 7.0): ("0x1.0000000000003p+12", "0x1.ffffffffed9f8p+11",
+                       "0x1.9ae6787db2a8bp-3", "0x1.b3ddab0a9f145p-31"),
+    (0.25, 4000, 1.2): ("0x1.51cb453b9536cp+0", "0x1.51cb453b63b78p+0",
+                        "0x1.15639a3d96dc1p-28", "0x1.1e169f38a67eap-61"),
+    (0.25, 4000, 7.0): ("0x1.0000000000000p+12", "0x1.ffffffffeea5bp+11",
+                        "0x1.ad08a9ecca11dp-2", "0x1.16dc9c7026905p-27"),
+    (4.0, 501, 1.2): ("0x1.8406003b2ae5dp-1", "0x1.8406003b002cep-1",
+                      "0x1.24369ac099cb6p-29", "0x1.8cde97f730190p-64"),
+    (4.0, 501, 7.0): ("0x1.0000000000003p-12", "0x1.ffffffffed9f8p-13",
+                      "0x1.9ae6787db2a8bp-27", "0x1.b3ddab0a9f145p-55"),
+    (4.0, 4000, 1.2): ("0x1.8406003b2ae5dp-1", "0x1.8406003af20a3p-1",
+                       "0x1.3ea2e935fd688p-29", "0x1.48a115a617406p-62"),
+    (4.0, 4000, 7.0): ("0x1.0000000000000p-12", "0x1.ffffffffeea5bp-13",
+                       "0x1.ad08a9ecca11dp-26", "0x1.16dc9c7026905p-51"),
+}
+# dp_g_profile(n, p, levels) at the same commit, for levels whose roots span
+# up to 2^-29 .. 1; at n = 60 no terminal node reaches the last level's
+# threshold (7.94 > sqrt(60)), so it cannot bind and its root is 0.
+GOLDEN_DEEP_PROFILES = (
+    (60, 2.0, (1e-9, 0.5, 1 - 1e-9, 1 - 1e-15),
+     ("0x1.ffffffffff5c4p-1", "0x1.c44529ee18757p-1", "0x1.146bb3c322cf1p-29",
+      "0x0.0p+0")),
+    (4000, 1.2, (1e-9, 0.5, 1 - 1e-9),
+     ("0x1.ffffffffb4fa1p-1", "0x1.69077668c6299p-1", "0x1.a471765b12878p-29")),
+    (4000, 7.0, (1e-9, 0.5, 1 - 1e-9),
+     ("0x1.ffffffffeea5bp-1", "0x1.dfdc31121509bp-1", "0x1.ad08a9ecca11dp-14")),
+)
 
 
 class TestGoldenBits:
@@ -235,13 +294,34 @@ class TestGoldenBits:
         assert [y for y, _ in profile] == list(GOLDEN_LEVELS)
         assert tuple(v.hex() for _, v in profile) == GOLDEN_PROFILE
 
+    @pytest.mark.parametrize("tie", ["geq", "gt"])
+    @pytest.mark.parametrize("T, n, p", sorted(GOLDEN_DEEP))
+    def test_deep_thresholds(self, T, n, p, tie):
+        got = tuple(dp_value(n, T, k * math.sqrt(T), p, tie=tie).hex()
+                    for k in DEEP_KS)
+        assert got == GOLDEN_DEEP[T, n, p]
+
+    @pytest.mark.parametrize("n, p, levels, expected", GOLDEN_DEEP_PROFILES)
+    def test_deep_profile(self, n, p, levels, expected):
+        profile = dp_g_profile(n, p, levels)
+        assert tuple(v.hex() for _, v in profile) == expected
+
+    def test_step_cost_past_half_the_largest_float(self):
+        # dt = 1e-308 puts kappa1 = 1e308 above 2^1023, where 2 kappa1
+        # overflows; recorded at commit da6150f
+        T = 1e-306
+        got = [dp_value(100, T, k * math.sqrt(T), 2.0).hex() for k in (-1, 0, 1)]
+        assert got == ["0x1.66259d285f544p+1016", "0x1.40926eb22d60cp+1016",
+                       "0x1.658fb1f465834p+1015"]
+
 
 def _layers(n, T, c, p):
     """Every layer of the oracle's sweep in full, root layer first."""
     dt = T / n
     J = _first_binding(n, dt, c, "geq")
     layers = [_expand(n + 1 - m, *band)
-              for m, band in enumerate(_sweep(n + 1, J, n, dt, p), start=1)]
+              for m, band in enumerate(
+                  _sweep(n + 1, J, n, dt, p, _floor(n, J, dt, p)), start=1)]
     return layers[::-1]
 
 
