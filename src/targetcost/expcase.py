@@ -26,9 +26,10 @@ from .normals import std_normal_cdf
 REGULARIZER_FLOOR = 1e-300
 
 
-def _check_horizon_state(T, x):
-    """A finite horizon T > 0 and a finite state x, in Params' wording."""
-    for name, v in (("T", T), ("x", x)):
+def _check_horizon(T, **finite):
+    """A finite horizon T > 0 and finite named values (the state x, the
+    threshold c), in Params' wording."""
+    for name, v in (("T", T), *finite.items()):
         if not math.isfinite(v):
             raise DomainError(f"{name} must be a finite number")
     if not (T > 0.0):
@@ -37,7 +38,7 @@ def _check_horizon_state(T, x):
 
 def exp_value(T, x, lam):
     """T * (exp(lam * (1-x)+ / T) - 1); independent of the threshold."""
-    _check_horizon_state(T, x)
+    _check_horizon(T, x=x)
     if not (lam > 0.0):
         raise DomainError("lam must be > 0")
     gap = max(1.0 - x, 0.0)
@@ -46,7 +47,7 @@ def exp_value(T, x, lam):
 
 def exp_optimal_control(T, x):
     """Constant rate (1-x)+ / T."""
-    _check_horizon_state(T, x)
+    _check_horizon(T, x=x)
     return max(1.0 - x, 0.0) / T
 
 
@@ -61,8 +62,9 @@ def exp_cost_of_profile(profile, T, lam):
         raise DomainError("profile must be a 1-d array with at least 2 samples")
     if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
         raise DomainError("profile must be finite and nonnegative")
-    if not (T > 0.0 and lam > 0.0):
-        raise DomainError("T and lam must be > 0")
+    _check_horizon(T)
+    if not (lam > 0.0):
+        raise DomainError("lam must be > 0")
     return float(np.trapezoid(np.expm1(lam * arr), dx=T / (len(arr) - 1)))
 
 
@@ -105,10 +107,7 @@ def duality_witness(n, T, c):
     """
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise DomainError("n must be an integer >= 2")
-    if not (T > 0.0):
-        raise DomainError("T must be > 0")
-    if not math.isfinite(c):
-        raise DomainError("c must be a finite number")
+    _check_horizon(T, c=c)
     r = _regularizer(n)
     drift_integral = n ** (1.0 / 3.0) * ((T + r) ** (1.0 / n) - r ** (1.0 / n))
     mass = 1.0 - std_normal_cdf((c - drift_integral) / math.sqrt(T))

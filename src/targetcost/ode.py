@@ -35,14 +35,12 @@ would measure dz^2 g_zz instead, and g is convex in z on the right half.
 The tests check the result by an independent initial-value route: from the
 midpoint pair, SciPy's DOP853 integrates outward onto the solve grid.
 
-Curves store (y, g, dg/dy) on a grid uniform in z and serialize to CSV plus
-a JSON sidecar.  The quantile-coordinate nodes zs and slopes gzs are
-derived from the stored levels, so a fresh curve and its reload are the
-same data (save_curve writes 17 significant digits).  load_curve takes
-any uniform-in-z grid, so a file of every solve node, as written before
-curves were thinned, loads and evaluates too.  Every kernel lookup goes
-through one evaluator, eval_g_z: the cubic Hermite interpolant in z
-through the stored values and slopes g_z = dg/dy * pdf(z).
+Curves store the solve's own (z, g, g_z) on a grid uniform in z, with the
+levels ys = cdf(zs) and slopes dgs = dg/dy as derived views, and serialize
+to CSV at 17 significant digits, so a reload is the same data, plus a JSON
+sidecar.  Every kernel lookup goes through one evaluator, eval_g_z: the
+cubic Hermite interpolant in z through the stored values and slopes, and
+past either end the end value (exactly 1 and 0 on a calibrated curve).
 
 policy_cost scores a curve as the feedback u = kappa (1 - X) / (T - t),
 kappa = max(g, 0)^{1/(p-1)}.  The z-score (c - W) / sqrt(T - t) is an
@@ -103,48 +101,44 @@ def chord_lower_bound(y, z, p):
 
 @dataclass(frozen=True)
 class GCurve:
-    """Discretized kernel g on [epsilon, 1 - epsilon].
+    """Discretized kernel g on [epsilon, 1 - epsilon], stored in z.
 
-    Arrays are aligned: ys ascending, gs the values, dgs the derivatives in
-    the y coordinate.  zs and gzs, the same data in the quantile coordinate,
-    are derived from them.  Treat all arrays as immutable.
+    Arrays are aligned: zs ascending and uniform, gs the values, gzs = g_z;
+    the levels ys = cdf(zs) and dgs = dg/dy are derived.  Treat all arrays
+    as immutable.
     """
 
     p: float
-    ys: np.ndarray
+    zs: np.ndarray
     gs: np.ndarray
-    dgs: np.ndarray
+    gzs: np.ndarray
     epsilon: float
 
     @cached_property
-    def zs(self):
-        return std_normal_quantile(self.ys)
+    def ys(self):
+        return std_normal_cdf(self.zs)
 
     @cached_property
-    def gzs(self):
-        return self.dgs * std_normal_pdf(self.zs)
+    def dgs(self):
+        return self.gzs / std_normal_pdf(self.zs)
 
     @cached_property
     def _hermite(self):
-        # (z0, 1/dz, one row of Horner coefficients per grid cell) of the
-        # cubic Hermite interpolant in z.  Built from (ys, gs, dgs) alone, so a
-        # curve reloaded from CSV evaluates bit-identically to the original.
-        # A level near 1 is held to ulp(1), moving its z by about ulp(1)/pdf(z)
-        # (1e-11 at y = 1 - 1e-6); so the step is read on the lower half,
-        # where levels keep their relative precision, and a node may sit
-        # that far off the grid.
-        zs = self.zs
-        mid = max(1, int(np.argmin(np.abs(zs))))
-        dz = (zs[mid] - zs[0]) / mid
-        slack = 1e-9 * abs(dz) + 4.0 * np.finfo(float).eps / std_normal_pdf(zs)
-        if np.any(np.abs(zs - zs[0] - dz * np.arange(len(zs))) > slack):
+        # (z0, 1/dz, Horner coefficients) of the cubic Hermite interpolant in
+        # z: a row per grid cell, then the constant rows (g_end, 0, 0, 0) of
+        # the right end and, last, the left end.  The check guards files.
+        zs, gs = self.zs, self.gs
+        dz = (zs[-1] - zs[0]) / (len(zs) - 1)
+        if not (dz > 0.0 and np.all(
+                np.abs(zs - zs[0] - dz * np.arange(len(zs))) <= 1e-9 * dz)):
             raise UsageError("kernel evaluation needs the uniform quantile grid")
         slope = self.gzs * dz  # g_z per cell width
-        rise = np.diff(self.gs)
+        rise = np.diff(gs)
         s0, s1 = slope[:-1], slope[1:]
         coeffs = np.column_stack(
-            (self.gs[:-1], s0, 3.0 * rise - 2.0 * s0 - s1, s0 + s1 - 2.0 * rise))
-        return float(zs[0]), 1.0 / dz, coeffs
+            (gs[:-1], s0, 3.0 * rise - 2.0 * s0 - s1, s0 + s1 - 2.0 * rise))
+        ends = [[gs[-1], 0.0, 0.0, 0.0], [gs[0], 0.0, 0.0, 0.0]]
+        return float(zs[0]), 1.0 / dz, np.vstack((coeffs, ends))
 
     def check_params(self, params):
         """params as a Params record (tuples are coerced) for this curve's p."""
@@ -240,8 +234,8 @@ def _snapped(p, epsilon, zs, gs):
         raise CalibrationError(
             "solution is not monotone within [0, 1] beyond rounding",
             diagnostics={"p": p, "worst_excursion": float(worst)})
-    return GCurve(p=float(p), ys=std_normal_cdf(zs), gs=snapped_gs,
-                  dgs=snapped_gzs / std_normal_pdf(zs), epsilon=float(epsilon))
+    return GCurve(p=float(p), zs=zs, gs=snapped_gs, gzs=snapped_gzs,
+                  epsilon=float(epsilon))
 
 
 def solve_grid(epsilon, refine=1):
@@ -285,8 +279,8 @@ def shoot(p, epsilon=DEFAULT_EPSILON):
     # n_half is a multiple of the stride, so the thinned curve keeps both
     # ends and the midpoint.
     keep = slice(None, None, STORE_STRIDE)
-    curve = GCurve(p=solved.p, ys=solved.ys[keep].copy(),
-                   gs=solved.gs[keep].copy(), dgs=solved.dgs[keep].copy(),
+    curve = GCurve(p=solved.p, zs=solved.zs[keep].copy(),
+                   gs=solved.gs[keep].copy(), gzs=solved.gzs[keep].copy(),
                    epsilon=solved.epsilon)
     return ShootingResult(g_mid=g_mid, gamma=gamma, curve=curve,
                           invariants=curve_invariant_report(solved))
@@ -318,62 +312,47 @@ def policy_cost(curve):
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0, valid
 
 
-def eval_g_z(curve, z, y=None, *, slope=False):
+def eval_g_z(curve, z, *, slope=False):
     """Kernel value at quantile coordinates z (a 1-d array), and with slope
     set also the z-derivative g_z: returns g or (g, g_z).
 
     Inside the stored range this is the cubic Hermite interpolant in z
     through the stored values and slopes, with the cell found by arithmetic
-    on the uniform grid.  Outside, it is the linear extrapolation in the
-    level y = cdf(z) from the nearest end, clamped into [0, 1], with the
-    end's y-slope; where that end already sits at the bound the line runs
-    toward (g = 1 on the left, g = 0 on the right, with a nonpositive
-    slope) the value is that bound and no cdf is taken.  y, when the
-    caller holds the levels, spares the cdf elsewhere.
+    on the uniform grid; each cell holds its left node, so the last node
+    reads the right end's row.  Outside, and at +-inf, the value is the
+    nearest end value and the slope 0.  A NaN gives NaN.
     """
     z0, inv_dz, coeffs = curve._hermite
-    n_cells = len(coeffs)
+    n_cells = len(coeffs) - 2
+    # u is held to [-1, n_cells], so past either end t = 0 on an end row;
+    # k = -1 takes the last row, the left end's.  fmax sends a NaN to that
+    # row, where its value stays NaN.
     u = (z - z0) * inv_dz
-    # The cell index as a float, so that u - k stays float arithmetic;
-    # fmax and fmin send a NaN to cell 0, where its value stays NaN.
-    k = np.trunc(u)
-    np.fmax(k, 0.0, out=k)
-    np.fmin(k, n_cells - 1, out=k)
+    np.clip(u, -1.0, n_cells, out=u)
+    k = np.floor(u)
+    np.fmax(k, -1.0, out=k)
     t = u - k
     a0, a1, a2, a3 = np.take(coeffs, k.astype(np.intp), axis=0).T
     g = ((a3 * t + a2) * t + a1) * t + a0
-    gz = ((3.0 * a3 * t + 2.0 * a2) * t + a1) * inv_dz if slope else None
-    ys, gs, dgs = curve.ys, curve.gs, curve.dgs
-    # A tail mask is built only where the range of u (NaNs aside) needs it.
-    lo, hi = (np.fmin.reduce(u), np.fmax.reduce(u)) if u.size else (0.0, 0.0)
-    for tail, end, bound in ((u < 0.0 if lo < 0.0 else None, 0, 1.0),
-                             (u > n_cells if hi > n_cells else None, -1, 0.0)):
-        if tail is not None:
-            if dgs[end] <= 0.0 and np.clip(gs[end], 0.0, 1.0) == bound:
-                # The line leaves the end at or beyond the bound it runs
-                # toward, so the clamp alone decides and no level is needed.
-                g[tail] = bound
-            else:
-                yt = std_normal_cdf(z[tail]) if y is None else y[tail]
-                g[tail] = np.clip(gs[end] + dgs[end] * (yt - ys[end]), 0.0, 1.0)
-            if slope:
-                gz[tail] = dgs[end] * std_normal_pdf(z[tail])
-    return (g, gz) if slope else g
+    if not slope:
+        return g
+    return g, ((3.0 * a3 * t + 2.0 * a2) * t + a1) * inv_dz
 
 
 def eval_g(curve, y):
     """Value of the curve at level(s) y in (0, 1): a float for scalar
     input, an array otherwise.
 
-    eval_g_z at z = quantile(y), taken on an array even for a scalar; an
-    exact node hit returns the stored value.
+    eval_g_z at z = quantile(y), a scalar's through the scalar quantile
+    path; an exact node hit returns the stored value.
     """
     arr = np.asarray(y, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("y must lie strictly inside (0, 1)")
     scalar = np.ndim(y) == 0
     arr = np.atleast_1d(arr)
-    g_out = eval_g_z(curve, std_normal_quantile(arr), arr)
+    z = std_normal_quantile(float(y) if scalar else arr)
+    g_out = eval_g_z(curve, np.atleast_1d(z))
     ys, gs = curve.ys, curve.gs
     idx = np.minimum(np.searchsorted(ys, arr), len(ys) - 1)
     at_node = ys[idx] == arr
@@ -404,10 +383,9 @@ def value_function(curve, params, g_at_level=None):
 def ode_residuals(curve):
     """|h g'' + (p-1)(g - g^{p/(p-1)})| at interior collocation points.
 
-    g'' comes from a five-point divided difference of the first derivative
-    in the quantile coordinate, where h g'' equals (g_zz + z g_z) / 2, with
-    the step of the uniform grid the evaluator checked; the nonlinear term
-    uses the stored values.  The
+    g'' comes from a five-point divided difference of the stored slopes g_z,
+    where h g'' equals (g_zz + z g_z) / 2, with the step of the uniform grid
+    the evaluator checked; the nonlinear term uses the stored values.  The
     returned array covers nodes with a full stencil (two neighbors each
     side), which is the collocation set the residual contract refers to.
     """
@@ -440,13 +418,13 @@ def curve_invariant_report(curve):
 
 
 def save_curve(curve, csv_path, sidecar_path, meta=None):
-    """Write the grid as CSV (`y,g,dg`, 17 significant digits, rows ending
+    """Write the grid as CSV (`z,g,g_z`, 17 significant digits, rows ending
     in \\r\\n) plus a JSON sidecar with the calibration summary."""
     with open(csv_path, "w", newline="") as fh:
-        fh.write("y,g,dg\r\n")
+        fh.write("z,g,g_z\r\n")
         # Rows stream from the arrays: lists of all the values (tolist) would
         # leave the heap about 0.5 MB higher for the next calibration.
-        fh.writelines(map(_CSV_ROW.__mod__, zip(curve.ys, curve.gs, curve.dgs)))
+        fh.writelines(map(_CSV_ROW.__mod__, zip(curve.zs, curve.gs, curve.gzs)))
     sidecar = {"p": curve.p, "epsilon": curve.epsilon,
                "g_mid": None, "gamma": None,
                "left_residual": curve.left_residual,
@@ -460,13 +438,16 @@ def save_curve(curve, csv_path, sidecar_path, meta=None):
 
 def load_curve(csv_path, sidecar_path):
     """Inverse of save_curve; returns (GCurve, sidecar dict).  Rows may end
-    in \\r\\n or \\n.  Raises UsageError unless the body is at least two
-    rows of exactly three numbers."""
+    in \\r\\n or \\n.  Raises UsageError unless the header is z,g,g_z and
+    the body at least two rows of exactly three numbers."""
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
     with open(csv_path) as fh:
         header = fh.readline().rstrip("\n").split(",")
-        if header != ["y", "g", "dg"]:
+        if header == ["y", "g", "dg"]:
+            raise UsageError(f"{csv_path} holds a curve in the old y,g,dg form; "
+                             "run calibrate again to write it as z,g,g_z")
+        if header != ["z", "g", "g_z"]:
             raise UsageError(f"unexpected curve CSV header in {csv_path}: {header}")
         try:
             with warnings.catch_warnings():
@@ -477,8 +458,8 @@ def load_curve(csv_path, sidecar_path):
             raise UsageError(f"malformed curve CSV {csv_path}: {exc}") from exc
     if arr.shape[1] != 3 or len(arr) < 2:
         raise UsageError(
-            f"malformed curve CSV {csv_path}: need at least 2 rows of y,g,dg, "
+            f"malformed curve CSV {csv_path}: need at least 2 rows of z,g,g_z, "
             f"got {arr.shape[0]} rows of {arr.shape[1]} fields")
-    curve = GCurve(p=float(sidecar["p"]), ys=arr[:, 0], gs=arr[:, 1],
-                   dgs=arr[:, 2], epsilon=float(sidecar["epsilon"]))
+    curve = GCurve(p=float(sidecar["p"]), zs=arr[:, 0], gs=arr[:, 1],
+                   gzs=arr[:, 2], epsilon=float(sidecar["epsilon"]))
     return curve, sidecar

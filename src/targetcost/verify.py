@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
 
 from . import expcase
 from .normals import Params
-from .ode import (DEFAULT_BOUNDARY_TOL, GCurve, chord_lower_bound, eval_g_value,
+from .ode import (DEFAULT_BOUNDARY_TOL, chord_lower_bound, eval_g_value,
                   policy_cost, shoot)
 from .sim import bsde_residual, mc_cost_estimate
 from .walk import dp_g_profile, dp_value
@@ -34,8 +35,7 @@ BUMP_WINDOW = (0.3, 0.7)
 def _perturbed_curve(curve, amp, lo, hi):
     gs = np.clip(curve.gs + amp * ((curve.ys >= lo) & (curve.ys <= hi)),
                  0.0, 1.0)
-    return GCurve(p=curve.p, ys=curve.ys, gs=gs, dgs=curve.dgs,
-                  epsilon=curve.epsilon)
+    return replace(curve, gs=gs)
 
 
 def suite_gcurve(budget, solve):

@@ -19,11 +19,12 @@ mc_estimate_and_costs likewise runs the package's own Monte Carlo stream
 that paired comparisons need; its own reduction of them checks
 sim._mean_stderr bit for bit.
 
-reference_brownian, reference_drive_block and reference_eval_g_z are the
-Monte Carlo path generator, feedback drive and kernel evaluator as they were
-before the simulator drove each block from its increments: a matrix of
-Brownian values built by np.cumsum, and the evaluator's integer cell index.
-The package's versions must match them bit for bit.  reference_path is the
+reference_brownian and reference_drive_block are the Monte Carlo path
+generator and feedback drive as they were before the simulator drove each
+block from its increments: a matrix of Brownian values built by np.cumsum.
+reference_eval_g_z is the kernel evaluator with an integer cell index and
+its tails written by mask, where the package's version reads end rows of
+its table.  The package's versions must match them bit for bit.  reference_path is the
 filled path as it was built one at a time before sim.recorded_paths drew
 each block once: its row alone, its W by np.cumsum.
 """
@@ -39,7 +40,6 @@ import numpy as np
 
 import targetcost
 from targetcost.errors import DomainError
-from targetcost.normals import std_normal_cdf, std_normal_pdf
 from targetcost.ode import DEFAULT_EPSILON, eval_g_z, solve_grid
 from targetcost.sim import (BLOCK, BsdeResidualStats, SimPath,
                             _block_increments, _blocks, _drive_block,
@@ -348,9 +348,11 @@ def reference_bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
         z_min=z_min, window_steps=k_end)
 
 
-def reference_eval_g_z(curve, z, y=None, *, slope=False):
-    """eval_g_z with the cell index taken as an integer and clipped."""
+def reference_eval_g_z(curve, z, *, slope=False):
+    """eval_g_z with the cell index taken as an integer and clipped, and the
+    end values written into both tails by mask."""
     z0, inv_dz, coeffs = curve._hermite
+    coeffs = coeffs[:-2]  # the grid cells, without the two end rows
     n_cells = len(coeffs)
     u = (z - z0) * inv_dz
     k = u.astype(np.intp)
@@ -358,17 +360,10 @@ def reference_eval_g_z(curve, z, y=None, *, slope=False):
     t = u - k
     a0, a1, a2, a3 = np.take(coeffs, k, axis=0).T
     g = ((a3 * t + a2) * t + a1) * t + a0
-    gz = ((3.0 * a3 * t + 2.0 * a2) * t + a1) * inv_dz if slope else None
-    ys, gs, dgs = curve.ys, curve.gs, curve.dgs
-    for tail, end, bound in ((u < 0.0, 0, 1.0), (u > n_cells, -1, 0.0)):
-        if np.any(tail):
-            if dgs[end] <= 0.0 and np.clip(gs[end], 0.0, 1.0) == bound:
-                g[tail] = bound
-            else:
-                yt = std_normal_cdf(z[tail]) if y is None else y[tail]
-                g[tail] = np.clip(gs[end] + dgs[end] * (yt - ys[end]), 0.0, 1.0)
-            if slope:
-                gz[tail] = dgs[end] * std_normal_pdf(z[tail])
+    gz = ((3.0 * a3 * t + 2.0 * a2) * t + a1) * inv_dz
+    for tail, end in ((u < 0.0, 0), (u >= n_cells, -1)):
+        g[tail] = curve.gs[end]
+        gz[tail] = 0.0
     return (g, gz) if slope else g
 
 
@@ -377,9 +372,9 @@ def reference_write_curve_csv(curve, csv_path):
     save_curve wrote it before it formatted all rows at once."""
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["y", "g", "dg"])
-        for y, g, dg in zip(curve.ys, curve.gs, curve.dgs):
-            writer.writerow([f"{y:.17g}", f"{g:.17g}", f"{dg:.17g}"])
+        writer.writerow(["z", "g", "g_z"])
+        for z, g, gz in zip(curve.zs, curve.gs, curve.gzs):
+            writer.writerow([f"{z:.17g}", f"{g:.17g}", f"{gz:.17g}"])
 
 
 def run_cli(args, cwd, env_extra=None):

@@ -28,7 +28,7 @@ import pytest
 from targetcost.expcase import (duality_gap, exp_cost_of_profile,
                                 exp_optimal_control, exp_value,
                                 witness_sequence)
-from targetcost.normals import Params
+from targetcost.normals import Params, std_normal_cdf, std_normal_pdf
 from targetcost.ode import (chord_lower_bound, curve_invariant_report, eval_g,
                             ode_residuals)
 from targetcost.sim import bsde_residual
@@ -230,7 +230,9 @@ def test_figure_shape_properties(tmp_path, curve_p2):
     # curve export: decreasing and concave
     proc = run_cli(["calibrate", "--p", "2", "--out", "fig1"], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    rows = np.loadtxt(tmp_path / "fig1.csv", delimiter=",", skiprows=1)
+    # the file holds z, g, g_z; the checks read it as y = cdf(z), g, dg/dy
+    z, g, g_z = np.loadtxt(tmp_path / "fig1.csv", delimiter=",", skiprows=1).T
+    rows = np.column_stack((std_normal_cdf(z), g, g_z / std_normal_pdf(z)))
     assert np.all(np.diff(rows[:, 1]) <= 1e-9)
     assert _above_tangents(rows) <= 1e-6
     bumped = rows.copy()

@@ -96,6 +96,20 @@ class TestProfileCost:
         with pytest.raises(DomainError):
             exp_cost_of_profile(np.array([0.1, -0.2, 0.3]), 1.0, 1.0)
 
+    @pytest.mark.parametrize("T, lam, message", [
+        (math.inf, 1.0, "T must be a finite number"),
+        (math.nan, 1.0, "T must be a finite number"),
+        (0.0, 1.0, "T must be > 0"),
+        (1.0, 0.0, "lam must be > 0"),
+    ])
+    @pytest.mark.parametrize("profile", [np.zeros(11), np.full(11, 0.5)],
+                             ids=["zero", "constant"])
+    def test_bad_horizon_or_rate_rejected(self, profile, T, lam, message):
+        # before, T = inf gave nan (with a RuntimeWarning) for the zero
+        # profile and inf otherwise
+        with pytest.raises(DomainError, match=message):
+            exp_cost_of_profile(profile, T, lam)
+
     def test_jensen_strictness_for_random_feasible_profiles(self):
         rng = np.random.default_rng(42)
         T, lam, x = 1.0, 1.0, 0.0
@@ -174,6 +188,10 @@ class TestWitnesses:
             duality_witness(1, 1.0, 0.0)
         with pytest.raises(DomainError, match="T must be > 0"):
             duality_witness(4, 0.0, 0.0)
+        # before, T = inf raised the cdf's "z must be finite"
+        for T in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="T must be a finite number"):
+                duality_witness(4, T, 0.0)
         with pytest.raises(DomainError, match="c must be a finite number"):
             duality_witness(4, 1.0, math.nan)
         with pytest.raises(DomainError):

@@ -32,9 +32,9 @@ TRUE_GAMMA_P2 = -0.5073
 
 class TestIntegrate:
     def test_constant_one_has_zero_residual(self):
-        ys = std_normal_cdf(np.linspace(-1.0, 1.0, 1001))  # uniform in z
-        curve = GCurve(p=2.0, ys=ys, gs=np.ones_like(ys),
-                       dgs=np.zeros_like(ys), epsilon=1e-4)
+        zs = np.linspace(-1.0, 1.0, 1001)
+        curve = GCurve(p=2.0, zs=zs, gs=np.ones_like(zs),
+                       gzs=np.zeros_like(zs), epsilon=1e-4)
         assert np.max(ode_residuals(curve)) == 0.0
 
     def test_calibrated_pair_meets_boundaries(self, shots_all):
@@ -119,7 +119,8 @@ class TestShoot:
     def test_stored_curve_is_every_seventh_solve_node(self, shot_p2):
         zs = solve_grid(DEFAULT_EPSILON)
         curve = shot_p2.curve
-        assert (len(zs), len(curve.ys)) == (5951, 851)
+        assert (len(zs), len(curve.zs)) == (5951, 851)
+        assert np.array_equal(curve.zs, zs[::STORE_STRIDE])
         assert np.array_equal(curve.ys, std_normal_cdf(zs[::STORE_STRIDE]))
         assert curve.gs[len(curve.gs) // 2] == shot_p2.g_mid
         assert all(ok for ok, _ in shot_p2.invariants.values())
@@ -267,12 +268,10 @@ class TestHolderInequality:
             chord_lower_bound(0.5, 0.5, 1.0)
 
 
-def _tail_slope(curve, y, end):
-    """eval_g_z's slope g_z at quantile(y), and the stored end's y-slope
-    carried into z there, dg/dy(end) * pdf(z)."""
-    z = std_normal_quantile(np.array([y]))
-    _, gz = eval_g_z(curve, z, slope=True)
-    return gz[0], curve.dgs[end] * std_normal_pdf(z)[0]
+def _tail_slope(curve, y):
+    """eval_g_z's slope g_z at quantile(y)."""
+    _, gz = eval_g_z(curve, std_normal_quantile(np.array([y])), slope=True)
+    return gz[0]
 
 
 def _slope_error(curve, levels):
@@ -288,58 +287,68 @@ class TestEvalG:
     def test_nodes_reproduce_stored_values(self, curve_p2):
         for k in (0, 1, len(curve_p2.ys) // 2, len(curve_p2.ys) - 1):
             assert eval_g(curve_p2, float(curve_p2.ys[k])) == curve_p2.gs[k]
-        # the slope on the nodes is the stored one, to rounding
-        _, gz = eval_g_z(curve_p2, curve_p2.zs, slope=True)
-        assert np.max(np.abs(gz - curve_p2.gzs)) <= 1e-12
+        # the slope on the nodes is the stored one, to rounding; the last
+        # node reads the right end's row, the end value with slope 0
+        g, gz = eval_g_z(curve_p2, curve_p2.zs, slope=True)
+        assert np.max(np.abs(gz[:-1] - curve_p2.gzs[:-1])) <= 1e-12
+        assert (g[-1], gz[-1]) == (curve_p2.gs[-1], 0.0)
 
     @pytest.mark.parametrize("which", [1.5, 2.0, 3.0, "eps1e-8", "off_bound"])
     def test_eval_g_z_matches_integer_cell_index(self, shots_all, which):
-        # Bit for bit the evaluator with an integer cell index: inside, on
-        # every node, in both tails and, where the caller passes the levels
-        # (so no cdf is taken), at NaN and +-inf.
+        # Bit for bit the evaluator with an integer cell index and masked
+        # tails: inside, on every node, in both tails and at NaN and +-inf.
         if which == "eps1e-8":
             curve = shoot(2.0, epsilon=1e-8).curve
         elif which == "off_bound":
-            curve = _synthetic_curve(1e-8)  # ends off the bounds: cdf branch
+            curve = _synthetic_curve(1e-8)  # ends off the bounds 1 and 0
         else:
             curve = shots_all[which].curve
         rng = np.random.default_rng(3)
-        # Points just past each end, alone, so that the range of u, not
-        # far tails, decides whether that end's mask is built.
-        near_ends = np.array([curve.zs[0] - 1e-9, curve.zs[-1] + 1e-9,
+        near_ends = np.array([curve.zs[0] - 1e-9, curve.zs[0] + 1e-9,
+                              curve.zs[-1] - 1e-9, curve.zs[-1] + 1e-9,
                               curve.zs[-1] + 1e-3])
         finite = np.concatenate((rng.uniform(-12.0, 12.0, 300_000), curve.zs,
                                  near_ends))
         z = np.concatenate((finite, [np.nan, np.inf, -np.inf, 0.0]))
-        y = std_normal_cdf(np.clip(np.nan_to_num(z), -8.0, 8.0))
-        cases = [(points, {"slope": slope}) for points in (finite, near_ends)
-                 for slope in (False, True)]
-        cases += [(z, {"y": y}), (z, {"y": y, "slope": True})]
-        with np.errstate(invalid="ignore", over="ignore"):
-            for points, kwargs in cases:
-                new = eval_g_z(curve, points, **kwargs)
-                old = reference_eval_g_z(curve, points, **kwargs)
-                if not kwargs.get("slope"):
-                    new, old = (new,), (old,)
-                for a, b in zip(new, old):
-                    assert np.array_equal(a, b, equal_nan=True)
+        with np.errstate(invalid="ignore"):
+            for points in (finite, near_ends, z):
+                for slope in (False, True):
+                    new = eval_g_z(curve, points, slope=slope)
+                    old = reference_eval_g_z(curve, points, slope=slope)
+                    if not slope:
+                        new, old = (new,), (old,)
+                    for a, b in zip(new, old):
+                        assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("which", [2.0, "off_bound"])
+    def test_tails_hold_the_end_values(self, curve_p2, which):
+        # Past either end the value is the end value and g_z exactly 0, on
+        # a calibrated curve (ends 1 and 0) and on one whose ends are off
+        # those bounds; a NaN stays NaN.
+        curve = curve_p2 if which == 2.0 else _synthetic_curve(1e-8)
+        left = np.array([-np.inf, -40.0, curve.zs[0] - 1e-3,
+                         np.nextafter(curve.zs[0], -np.inf)])
+        right = np.array([np.nextafter(curve.zs[-1], np.inf),
+                          curve.zs[-1] + 1e-3, 40.0, np.inf])
+        for points, end in ((left, 0), (right, -1)):
+            g, gz = eval_g_z(curve, points, slope=True)
+            assert np.all(g == curve.gs[end]) and np.all(gz == 0.0)
+        g, gz = eval_g_z(curve, np.array([np.nan]), slope=True)
+        assert np.isnan(g[0]) and np.isnan(gz[0])
 
     def test_midpoint_value(self, shot_p2):
         assert eval_g(shot_p2.curve, 0.5) == shot_p2.g_mid
 
     def test_near_left_cutoff(self, curve_p2):
+        # below the cutoff the value is the stored end, 1, and g_z is 0
         for y in (curve_p2.epsilon / 2.0, curve_p2.epsilon / 10.0):
-            g = eval_g(curve_p2, y)
-            assert abs(g - 1.0) <= 1e-3
-            assert curve_p2.gs[0] <= g <= 1.0
-            got, end_slope = _tail_slope(curve_p2, y, 0)
-            assert got == end_slope
+            assert eval_g(curve_p2, y) == curve_p2.gs[0] == 1.0
+            assert _tail_slope(curve_p2, y) == 0.0
 
     def test_near_right_cutoff(self, curve_p2):
         y = 1.0 - curve_p2.epsilon / 2.0
-        assert 0.0 <= eval_g(curve_p2, y) <= 1e-3
-        got, end_slope = _tail_slope(curve_p2, y, -1)
-        assert got == end_slope
+        assert eval_g(curve_p2, y) == curve_p2.gs[-1] == 0.0
+        assert _tail_slope(curve_p2, y) == 0.0
 
     def test_interior_interpolation_monotone(self, curve_p2):
         ys = np.linspace(0.001, 0.999, 2311)
@@ -353,20 +362,17 @@ class TestEvalG:
         # g = (1 - y)^2 stored on the solve grid, uniform in z; between
         # nodes the value and the slope g_z must follow the exact kernel.
         zs = solve_grid(DEFAULT_EPSILON)
-        ys = std_normal_cdf(zs)
-        curve = GCurve(p=2.0, ys=ys, gs=(1.0 - ys) ** 2, dgs=-2.0 * (1.0 - ys),
-                       epsilon=DEFAULT_EPSILON)
+        curve = _analytic_curve(zs, DEFAULT_EPSILON)
         levels = std_normal_cdf(np.linspace(zs[0], zs[-1], 7919)[1:-1])
         g = eval_g(curve, levels)
         assert np.max(np.abs(g - (1.0 - levels) ** 2)) <= 1e-12
         assert _slope_error(curve, levels) <= 1e-8
 
     def test_grid_not_uniform_in_z_is_rejected(self):
-        ys = np.linspace(0.2, 0.8, 101)
-        curve = GCurve(p=2.0, ys=ys, gs=(1.0 - ys) ** 2, dgs=-2.0 * (1.0 - ys),
-                       epsilon=1e-4)
-        with pytest.raises(UsageError):
-            eval_g(curve, 0.5)
+        for zs in (np.linspace(-1.0, 1.0, 101) ** 3,   # not uniform
+                   np.linspace(1.0, -1.0, 101)):       # descending
+            with pytest.raises(UsageError):
+                eval_g(_analytic_curve(zs, 1e-4), 0.5)
 
     def test_value_only_path_matches(self, curve_p2):
         ys = np.linspace(1e-5, 1.0 - 1e-5, 5000)
@@ -405,13 +411,18 @@ class TestValueFunction:
             value_function(curve_p2, Params(2.5, 1.0, 0.0, 0.0))
 
 
+def _analytic_curve(zs, epsilon):
+    """g = (1 - y)^2, y = cdf(z), and its g_z on the nodes zs."""
+    ys = std_normal_cdf(zs)
+    return GCurve(p=2.0, zs=zs, gs=(1.0 - ys) ** 2,
+                  gzs=-2.0 * (1.0 - ys) * std_normal_pdf(zs), epsilon=epsilon)
+
+
 def _synthetic_curve(epsilon):
     """g = (1 - y)^2 on every node of the solve grid at epsilon, the rows
     a curve file held before curves were thinned to every STORE_STRIDE-th
     node."""
-    ys = std_normal_cdf(solve_grid(epsilon))
-    return GCurve(p=2.0, ys=ys, gs=(1.0 - ys) ** 2, dgs=-2.0 * (1.0 - ys),
-                  epsilon=epsilon)
+    return _analytic_curve(solve_grid(epsilon), epsilon)
 
 
 def _solve_grid_kernel(p):
@@ -430,8 +441,8 @@ def solve_grid_p2():
 
 def _thinned(curve):
     keep = slice(None, None, STORE_STRIDE)
-    return GCurve(p=curve.p, ys=curve.ys[keep], gs=curve.gs[keep],
-                  dgs=curve.dgs[keep], epsilon=curve.epsilon)
+    return GCurve(p=curve.p, zs=curve.zs[keep], gs=curve.gs[keep],
+                  gzs=curve.gzs[keep], epsilon=curve.epsilon)
 
 
 class TestSerialization:
@@ -441,38 +452,40 @@ class TestSerialization:
         save_curve(shot_p2.curve, csv_path, json_path,
                    meta={"g_mid": shot_p2.g_mid, "gamma": shot_p2.gamma})
         loaded, sidecar = load_curve(csv_path, json_path)
-        assert np.array_equal(loaded.ys, shot_p2.curve.ys)
-        assert np.array_equal(loaded.gs, shot_p2.curve.gs)
-        assert np.array_equal(loaded.dgs, shot_p2.curve.dgs)
+        for name in ("zs", "gs", "gzs", "ys", "dgs"):
+            assert np.array_equal(getattr(loaded, name),
+                                  getattr(shot_p2.curve, name)), name
         assert sidecar["p"] == 2.0
         assert sidecar["g_mid"] == shot_p2.g_mid
         assert sidecar["gamma"] == shot_p2.gamma
         assert set(sidecar) == {"p", "epsilon", "g_mid", "gamma",
                                 "left_residual", "right_residual"}
-        # evaluation after the round trip is bit-identical, and so are the
-        # checks on the quantile-coordinate data derived from the levels
+        # evaluation after the round trip is bit-identical, inside and in
+        # both tails, with and without the slope, and so are the checks
         ys = np.linspace(0.01, 0.99, 101)
         assert np.array_equal(eval_g(loaded, ys), eval_g(shot_p2.curve, ys))
+        zs = np.concatenate((np.linspace(-6.0, 6.0, 2001), shot_p2.curve.zs))
+        assert np.array_equal(eval_g_z(loaded, zs), eval_g_z(shot_p2.curve, zs))
+        for a, b in zip(eval_g_z(loaded, zs, slope=True),
+                        eval_g_z(shot_p2.curve, zs, slope=True)):
+            assert np.array_equal(a, b)
         assert np.array_equal(ode_residuals(loaded), ode_residuals(shot_p2.curve))
         assert curve_invariant_report(loaded) == curve_invariant_report(shot_p2.curve)
 
     @pytest.mark.parametrize("epsilon", [1e-6, 1e-8, DEFAULT_EPSILON])
     def test_small_epsilon_round_trip_evaluates(self, epsilon, tmp_path):
-        # Levels near 1 are stored only to ulp(1), which moves the reloaded
-        # grid off uniform by up to about 2e-9 in z at epsilon = 1e-8.  The
-        # file holds every solve node, as curve files did before thinning
-        # (5951 rows at the default epsilon), and still loads.
+        # The file holds every solve node, as curve files did before
+        # thinning (5951 rows at the default epsilon), and still loads.
         curve = _synthetic_curve(epsilon)
         save_curve(curve, tmp_path / "c.csv", tmp_path / "c.json")
         loaded, _ = load_curve(tmp_path / "c.csv", tmp_path / "c.json")
-        assert len(loaded.ys) == len(solve_grid(epsilon))
+        assert np.array_equal(loaded.zs, solve_grid(epsilon))
         levels = np.linspace(epsilon, 1.0 - epsilon, 2001)
         g = eval_g(loaded, levels)
         assert np.array_equal(g, eval_g(curve, levels))
         assert np.max(np.abs(g - (1.0 - levels) ** 2)) <= 1e-12
-        # The end levels are stored nodes.  The one at 1 - epsilon sits off
-        # the uniform grid by up to 2e-9 in z, which moves g_z there by
-        # 1.5e-8 relative at epsilon = 1e-8; the slope is checked between.
+        # The end levels sit on the end nodes, where quantile rounding may
+        # fall just past them into a tail; the slope is checked between.
         assert _slope_error(loaded, levels[1:-1]) <= 1e-8
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, "synthetic"])
@@ -490,23 +503,48 @@ class TestSerialization:
         lf.write_bytes((tmp_path / "c.csv").read_bytes().replace(b"\r\n", b"\n"))
         crlf_curve, _ = load_curve(tmp_path / "c.csv", tmp_path / "c.json")
         lf_curve, _ = load_curve(lf, tmp_path / "c.json")
-        for name in ("ys", "gs", "dgs"):
+        for name in ("zs", "gs", "gzs"):
             assert np.array_equal(getattr(lf_curve, name), getattr(crlf_curve, name))
 
     # A non-float field, a short row and a bare header are checked through
     # the CLI in test_cli.py::TestMalformedCurve.
+    # A file in the y,g,dg form written before curves were stored in z is
+    # rejected too: there is one read path.
     @pytest.mark.parametrize("text", [
-        "y,g\n0.1,0.9\n0.2,0.8\n",
-        "y,g,dg\n0.1,0.9,-1,0\n0.2,0.8,-1,0\n",
-        "y,g,dg\n0.1,0.9,-1\n",
-        "y,g,dg\n# comment\n0.1,0.9,-1\n0.2,0.8,-1\n",
+        "z,g\n0.1,0.9\n0.2,0.8\n",
+        "z,g,g_z\n0.1,0.9,-1,0\n0.2,0.8,-1,0\n",
+        "z,g,g_z\n0.1,0.9,-1\n",
+        "z,g,g_z\n# comment\n0.1,0.9,-1\n0.2,0.8,-1\n",
         "",
-    ], ids=["header", "long_rows", "one_row", "comment", "empty"])
+        "y,g,dg\n0.1,0.9,-1\n0.2,0.8,-1\n",
+    ], ids=["header", "long_rows", "one_row", "comment", "empty", "y_form"])
     def test_malformed_csv_is_usage_error(self, tmp_path, text):
         (tmp_path / "c.json").write_text('{"p": 2.0, "epsilon": 1e-4}')
         (tmp_path / "c.csv").write_text(text)
-        with pytest.raises(UsageError, match="c.csv"):
+        with pytest.raises(UsageError, match="c.csv") as info:
             load_curve(tmp_path / "c.csv", tmp_path / "c.json")
+        assert ("calibrate" in str(info.value)) == text.startswith("y,g,dg")
+
+    def test_load_and_evaluate_take_no_quantile(self, shot_p2, tmp_path,
+                                                monkeypatch):
+        # The file holds the quantile-coordinate data, so neither loading
+        # it nor evaluating, checking or reading its level views needs one.
+        from targetcost import normals, ode
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return std_normal_quantile(q)
+
+        monkeypatch.setattr(ode, "std_normal_quantile", counted)
+        monkeypatch.setattr(normals, "std_normal_quantile", counted)
+        save_curve(shot_p2.curve, tmp_path / "c.csv", tmp_path / "c.json")
+        loaded, _ = load_curve(tmp_path / "c.csv", tmp_path / "c.json")
+        zs = np.linspace(-6.0, 6.0, 1001)
+        eval_g_z(loaded, zs)
+        eval_g_z(loaded, zs, slope=True)
+        curve_invariant_report(loaded)
+        assert calls == []
 
     def test_sidecar_is_plain_json(self, shot_p2, tmp_path):
         save_curve(shot_p2.curve, tmp_path / "c.csv", tmp_path / "c.json")
