@@ -12,24 +12,27 @@ known to the simulator, not to the controller: on those paths the feedback
 gain tends to 1 anyway and the charged completion cost vanishes in
 expectation as the grid refines).
 
-Randomness: paths are grouped into fixed blocks of 4096; block b of master
-seed s draws its increment matrix from Philox keyed by the counter pair
-(s, b), and path i occupies row i mod 4096 of its block, so any path can be
-regenerated from (seed, index) alone.  One stream, _blocks, yields the
-blocks in path order to all three routes: mc_cost_estimate, bsde_residual
-and recorded_paths (the filled paths `simulate --dump-paths` writes).
-While the caller works on one block, a helper thread draws the next (the
-Philox fill, its scaling and the copy into step-major order run outside
-the interpreter lock); so two blocks' increments are alive at a time,
-about 131 MB at 2000 steps, and a request past MAX_LIVE_BYTES raises
-ResourceError before any draw.  Each block is driven straight from its
-increments, with a running sum in place of a matrix of Brownian values.
-Aggregation runs in path order with exact summation.
+Randomness: paths are grouped into fixed blocks of 4096 and steps into
+fixed chunks of 64.  Chunk j of block b of master seed s holds steps
+[64j, 64j + 64) of the block's paths, drawn path-major from Philox keyed by
+(s, b) with its counter at j << 192; path i is row i mod 4096 of its block,
+so any path can be regenerated from (seed, index) alone, and a run of at
+most 64 steps draws what it drew before steps were chunked.  One stream,
+_chunks, yields the chunks (blocks in path order, a block's chunks in step
+order) to mc_cost_estimate, bsde_residual and recorded_paths (the filled
+paths `simulate --dump-paths` writes).  A helper thread draws the next
+chunk while the caller drives one (the Philox fill, its scaling and the
+copy into step-major order run outside the interpreter lock), so the first
+two routes hold about two chunks (4 MB) at a time; a dump builds each block
+whole (65 MB at 2000 steps).  A request past MAX_LIVE_BYTES raises
+ResourceError before any draw.  Blocks are driven from their increments
+with a running sum, and aggregated in path order with exact summation.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,15 +42,10 @@ from .normals import std_normal_cdf
 from .ode import eval_g_z
 
 BLOCK = 4096  # paths per stream block; fixed so layout never affects results
+CHUNK = 64  # steps per stream chunk; fixed for the same reason
 _RECORD_ROWS = 256  # paths recorded step by step at once, to bound memory
-_DRAW_ELEMS = 1 << 17  # increments drawn per run of rows: 1 MB, cache-sized
-MAX_LIVE_BYTES = 2 << 30  # cap on the two blocks of increments alive at once
-
-
-def _block_rng(seed, block):
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_DRAW_ELEMS = 1 << 15  # increments drawn per run of rows: 256 KB, cache-sized
+MAX_LIVE_BYTES = 2 << 30  # cap on two blocks of increments (see _check_mc)
 
 
 @dataclass
@@ -83,19 +81,22 @@ class BsdeResidualStats:
     window_steps: int
 
 
-def _block_increments(seed, block, rows, n_steps, sqrt_dt):
-    """Increment rows for a whole stream block (leading rows of it).
+def _block_increments(seed, block, chunk, rows, n_steps, sqrt_dt):
+    """Chunk `chunk` of a stream block's increments (leading rows of it):
+    steps [CHUNK * chunk, CHUNK * chunk + CHUNK) of the n_steps.
 
     The array is in Fortran order, so that one step of every path, the
     column the drive reads, is contiguous.  The stream fills row after row,
     so it is drawn in cache-sized runs of rows, each scaled and copied in
     while it is hot.
     """
-    rng = _block_rng(seed, block)
-    out = np.empty((rows, n_steps), order="F")
-    run = max(1, _DRAW_ELEMS // n_steps)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key, counter=chunk << 192))
+    width = min(CHUNK, n_steps - CHUNK * chunk)
+    out = np.empty((rows, width), order="F")
+    run = max(1, _DRAW_ELEMS // width)
     for r0 in range(0, rows, run):
-        rows_drawn = rng.standard_normal((min(run, rows - r0), n_steps))
+        rows_drawn = rng.standard_normal((min(run, rows - r0), width))
         rows_drawn *= sqrt_dt
         out[r0:r0 + run] = rows_drawn
     return out
@@ -103,8 +104,10 @@ def _block_increments(seed, block, rows, n_steps, sqrt_dt):
 
 def _check_mc(n_steps, n_paths):
     """The counts every path generator takes: an integer step count >= 2
-    and an integer path count >= 1, with the two blocks of increments alive
-    at once within MAX_LIVE_BYTES."""
+    and an integer path count >= 1, with two blocks of increments within
+    MAX_LIVE_BYTES.  The bound is the memory of a dump's whole block (and
+    of the two blocks alive at once before steps were chunked); it holds on
+    every route, so each accepts exactly the requests it accepted then."""
     if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 2):
         raise DomainError("n_steps must be an integer >= 2")
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
@@ -122,16 +125,20 @@ def _gain(curve, p, zscore):
     return eval_g_z(curve, zscore) ** (1.0 / (p - 1.0))
 
 
-def _drive_block(curve, params, times, dW, *, record=False):
-    """Run the feedback control on a block of paths (rows of the increments
-    dW), keeping each path's running Brownian value.
+def _drive_block(curve, params, times, chunks, *, record=False):
+    """Run the feedback control on a block of paths, keeping each path's
+    running Brownian value.  Its increments (rows are paths) are read step
+    by step from `chunks`, in step order, and only the block's n steps are
+    read, so `chunks` may be a stream that goes on to the next block.
 
     Returns (cost, violations) plus, when record is set, the full
     (W, M, u, X, cost_running) arrays, else None.
     """
     p, T, x, c = params.p, params.T, params.x, params.c
     n = len(times) - 1
-    n_paths = dW.shape[0]
+    steps = (dw for dW in chunks for dw in dW.T)  # the columns dW[:, k]
+    dw = next(steps)
+    n_paths = len(dw)
     w = np.zeros(n_paths)  # W at t_k; the same additions np.cumsum makes
     omx = np.full(n_paths, 1.0 - x)  # tracks 1 - X exactly
     cost = np.zeros(n_paths)
@@ -156,12 +163,13 @@ def _drive_block(curve, params, times, dW, *, record=False):
             c_rec[:, k] = cost
         cost += u ** p * (t_next - t_k)
         omx *= np.exp(kappa * math.log((T - t_next) / tau))
-        w += dW[:, k]
+        w += dw
+        dw = next(steps)
 
     # Final step [T - delta, T]: close the gap at constant speed on paths
     # where the realized terminal constraint binds, stand still otherwise.
     delta = times[n] - times[n - 1]
-    w_T = w + dW[:, n - 1]
+    w_T = w + dw
     bind = w_T > c
     u_last = np.where(bind, omx / delta, 0.0)
     if record:
@@ -197,62 +205,67 @@ def _mean_stderr(values):
     return mean, math.sqrt(var / n)
 
 
-def _blocks(seed, n_paths, n_steps, T):
-    """The increments of paths 0 .. n_paths - 1, block by block in path
-    order, a helper thread drawing the next block while the caller works on
-    one; the helper is joined when the stream ends, raises or is closed."""
+def _chunks(seed, n_paths, n_steps, T, steps):
+    """The increments of paths 0 .. n_paths - 1 at steps 0 .. steps - 1,
+    chunk by chunk: block after block in path order, a block's chunks in
+    step order, the one holding step steps - 1 drawn whole.  A helper thread
+    draws the next chunk while the caller works on one; it is joined when
+    the stream ends, raises or is closed."""
     # Imported here, so that commands which draw no paths do not pay for it
     # at start-up.
     from concurrent.futures import ThreadPoolExecutor
 
-    def draw(i0):
-        return _block_increments(seed, i0 // BLOCK, min(BLOCK, n_paths - i0),
-                                 n_steps, math.sqrt(T / n_steps))
-
-    if n_paths == 0:
-        return
+    sqrt_dt = math.sqrt(T / n_steps)
+    order = [(seed, i0 // BLOCK, j, min(BLOCK, n_paths - i0), n_steps, sqrt_dt)
+             for i0 in range(0, n_paths, BLOCK)
+             for j in range(-(-steps // CHUNK))]
     with ThreadPoolExecutor(max_workers=1) as helper:
-        upcoming = helper.submit(draw, 0)
-        for i0 in range(0, n_paths, BLOCK):
-            block = upcoming.result()
-            if i0 + BLOCK < n_paths:
-                upcoming = helper.submit(draw, i0 + BLOCK)
-            yield block
+        upcoming = helper.submit(_block_increments, *order[0])
+        for following in order[1:]:
+            chunk = upcoming.result()
+            upcoming = helper.submit(_block_increments, *following)
+            yield chunk
+        yield upcoming.result()
 
 
 def recorded_paths(curve, params, n_steps, seed, count):
-    """Filled paths 0, 1, ..., count - 1 of the stream, in order, each
-    block's rows driven _RECORD_ROWS at a time."""
+    """Filled paths 0, 1, ..., count - 1 of the stream, in order: each block
+    built from its chunks, then its rows driven _RECORD_ROWS at a time."""
     params = curve.check_params(params)
     _check_mc(n_steps, max(count, 1))
     times = np.linspace(0.0, params.T, n_steps + 1)
-    for block in _blocks(seed, count, n_steps, params.T):
-        for r0 in range(0, len(block), _RECORD_ROWS):
-            dW = block[r0:r0 + _RECORD_ROWS]
-            _, _, (W, M, u, X, cost) = _drive_block(curve, params, times, dW,
-                                                    record=True)
-            for j in range(len(dW)):
-                yield SimPath(n_steps=int(n_steps), times=times, dW=dW[j],
-                              W=W[j], seed=int(seed), M=M[j], u=u[j], X=X[j],
-                              cost=cost[j])
+    with closing(_chunks(seed, count, n_steps, params.T, n_steps)) as stream:
+        for i0 in range(0, count, BLOCK):
+            block = np.empty((min(BLOCK, count - i0), n_steps), order="F")
+            for k0 in range(0, n_steps, CHUNK):
+                block[:, k0:k0 + CHUNK] = next(stream)
+            for r0 in range(0, len(block), _RECORD_ROWS):
+                dW = block[r0:r0 + _RECORD_ROWS]
+                _, _, (W, M, u, X, cost) = _drive_block(
+                    curve, params, times, [dW], record=True)
+                for j in range(len(dW)):
+                    yield SimPath(n_steps=int(n_steps), times=times,
+                                  dW=dW[j], W=W[j], seed=int(seed), M=M[j],
+                                  u=u[j], X=X[j], cost=cost[j])
 
 
 def mc_cost_estimate(curve, params, n_paths, n_steps, seed):
     """Sample mean and standard error of the per-path realized cost.
 
     Deterministic given the seed: path i is row i mod BLOCK of stream block
-    i // BLOCK, the blocks are driven one after another, and their costs
-    are reduced in path order with exact summation.
+    i // BLOCK, the blocks are driven one after another, each chunk by
+    chunk, and their costs are reduced in path order with exact summation.
     Also returns the feasibility violation count as third element.
     """
     params = curve.check_params(params)
     _check_mc(n_steps, n_paths)
     times = np.linspace(0.0, params.T, n_steps + 1)
     costs, violations = [], 0
-    for dW in _blocks(seed, n_paths, n_steps, params.T):
-        cost, viol, _ = _drive_block(curve, params, times, dW)
-        costs.append(cost)
-        violations += viol
+    with closing(_chunks(seed, n_paths, n_steps, params.T, n_steps)) as stream:
+        for _ in range(0, n_paths, BLOCK):
+            cost, viol, _ = _drive_block(curve, params, times, stream)
+            costs.append(cost)
+            violations += viol
     mean, stderr = _mean_stderr(np.concatenate(costs))
     return mean, stderr, violations
 
@@ -284,21 +297,25 @@ def bsde_residual(curve, p, T, c, n_paths, n_steps, delta, seed):
         return gval / tau ** (p - 1.0), -gz / tau ** (p - 0.5)
 
     path_sums, sq_sums, z_min = [], [], math.inf
-    for dW in _blocks(seed, n_paths, n_steps, T):
-        w = np.zeros(dW.shape[0])  # running W: the additions np.cumsum makes
-        path_sum = np.zeros(dW.shape[0])
-        sq_sum = 0.0
-        y_k, z_k = y_and_z(times[0], w)
-        for k in range(k_end):
-            w += dW[:, k]
-            y_next, z_next = y_and_z(times[k + 1], w)
-            r = (y_next - y_k) - (p - 1.0) * y_k ** expo * dt - z_k * dW[:, k]
-            path_sum += r
-            sq_sum += float(np.dot(r, r))
-            z_min = min(z_min, float(np.min(z_k)))
-            y_k, z_k = y_next, z_next
-        path_sums.append(path_sum)
-        sq_sums.append(sq_sum)
+    # Only the chunks of the window's steps are drawn.
+    with closing(_chunks(seed, n_paths, n_steps, T, k_end)) as stream:
+        for i0 in range(0, n_paths, BLOCK):
+            # running W: the additions np.cumsum makes
+            w = np.zeros(min(BLOCK, n_paths - i0))
+            path_sum = np.zeros(len(w))
+            sq_sum = 0.0
+            y_k, z_k = y_and_z(times[0], w)
+            steps = (dw for dW in stream for dw in dW.T)  # columns dW[:, k]
+            for k, dw in zip(range(k_end), steps):
+                w += dw
+                y_next, z_next = y_and_z(times[k + 1], w)
+                r = (y_next - y_k) - (p - 1.0) * y_k ** expo * dt - z_k * dw
+                path_sum += r
+                sq_sum += float(np.dot(r, r))
+                z_min = min(z_min, float(np.min(z_k)))
+                y_k, z_k = y_next, z_next
+            path_sums.append(path_sum)
+            sq_sums.append(sq_sum)
     per_path_mean = np.concatenate(path_sums) / k_end
     sq_total = math.fsum(sq_sums)
     mean, stderr = _mean_stderr(per_path_mean)

@@ -15,18 +15,21 @@ inner_min (the Bellman split with its minimizer) and refinement_gap are
 test-only wrappers: they call walk._bellman_min and walk.dp_value, so the
 tests that use them check the package's own lattice code.
 mc_estimate_and_costs likewise runs the package's own Monte Carlo stream
-(sim._blocks, sim._drive_block) and also returns the per-path costs
+(sim._chunks, sim._drive_block) and also returns the per-path costs
 that paired comparisons need; its own reduction of them checks
 sim._mean_stderr bit for bit.
 
-reference_brownian and reference_drive_block are the Monte Carlo path
-generator and feedback drive as they were before the simulator drove each
-block from its increments: a matrix of Brownian values built by np.cumsum.
+reference_increments draws a whole stream block straight from Philox, chunk
+by chunk, apart from the package's chunk stream.  reference_brownian and
+reference_drive_block are the Monte Carlo path generator and feedback drive
+as they were before the simulator drove each block from its increments: a
+matrix of Brownian values built by np.cumsum.
 reference_eval_g_z is the kernel evaluator with an integer cell index and
 its tails written by mask, where the package's version reads end rows of
 its table.  The package's versions must match them bit for bit.  reference_path is the
 filled path as it was built one at a time before sim.recorded_paths drew
-each block once: its row alone, its W by np.cumsum.
+each block once: its row alone, its W by np.cumsum, driven from one array
+of all its steps.
 """
 
 import csv
@@ -34,6 +37,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +45,8 @@ import numpy as np
 import targetcost
 from targetcost.errors import DomainError
 from targetcost.ode import DEFAULT_EPSILON, eval_g_z, solve_grid
-from targetcost.sim import (BLOCK, BsdeResidualStats, SimPath,
-                            _block_increments, _blocks, _drive_block,
-                            _gain)
+from targetcost.sim import (BLOCK, CHUNK, BsdeResidualStats, SimPath,
+                            _chunks, _drive_block, _gain)
 from targetcost.walk import _bellman_min, dp_value
 
 # The directory holding the package this test process imported.  Putting it
@@ -221,6 +224,20 @@ def terminal_blowup_medians(curve, p, T, c, n_paths, n_steps, deltas, seed):
     return out
 
 
+def reference_increments(seed, block, rows, n_steps, sqrt_dt):
+    """The leading rows of a stream block's increments, all steps: chunk j,
+    steps [CHUNK * j, CHUNK * j + CHUNK), drawn path-major from Philox keyed
+    by (seed, block) with its counter at j << 192, then scaled."""
+    out = np.empty((rows, n_steps))
+    key = np.array([seed, block], dtype=np.uint64)
+    for k0 in range(0, n_steps, CHUNK):
+        bits = np.random.Philox(key=key, counter=(k0 // CHUNK) << 192)
+        width = min(CHUNK, n_steps - k0)
+        out[:, k0:k0 + width] = (np.random.Generator(bits).standard_normal(
+            (rows, width)) * sqrt_dt)
+    return out
+
+
 def reference_brownian(seed, i0, i1, n_steps, sqrt_dt):
     """Increments dW and running values W (W[:, 0] = 0) of the paths with
     index in [i0, i1), block layout preserved."""
@@ -229,7 +246,7 @@ def reference_brownian(seed, i0, i1, n_steps, sqrt_dt):
     for b in range(b0, b1 + 1):
         lo = max(i0, b * BLOCK) - b * BLOCK
         hi = min(i1, (b + 1) * BLOCK) - b * BLOCK
-        rows = _block_increments(seed, b, hi, n_steps, sqrt_dt)
+        rows = reference_increments(seed, b, hi, n_steps, sqrt_dt)
         pieces.append(rows[lo:hi])
     dW = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
     W = np.zeros((i1 - i0, n_steps + 1))
@@ -243,10 +260,10 @@ def reference_path(curve, params, n_steps, seed, index):
     params = curve.check_params(params)
     times = np.linspace(0.0, params.T, n_steps + 1)
     block, row = divmod(index, BLOCK)
-    dW = _block_increments(seed, block, row + 1, n_steps,
-                           math.sqrt(params.T / n_steps))[row]
+    dW = reference_increments(seed, block, row + 1, n_steps,
+                              math.sqrt(params.T / n_steps))[row]
     _cost, _viol, (_W, M, u, X, cost) = _drive_block(
-        curve, params, times, dW[None, :], record=True)
+        curve, params, times, [dW[None, :]], record=True)
     return SimPath(n_steps=n_steps, times=times, dW=dW,
                    W=np.concatenate(([0.0], np.cumsum(dW))), seed=seed,
                    M=M[0], u=u[0], X=X[0], cost=cost[0])
@@ -292,15 +309,16 @@ def reference_mc_costs(curve, params, n_paths, n_steps, seed):
 
 def mc_estimate_and_costs(curve, params, n_paths, n_steps, seed):
     """mc_cost_estimate's (mean, stderr, violations) and, fourth, its
-    per-path costs in path order: the same blocks from sim._blocks, driven
-    by sim._drive_block and reduced the same way."""
+    per-path costs in path order: the same chunks from sim._chunks, driven
+    block by block by sim._drive_block and reduced the same way."""
     params = curve.check_params(params)
     times = np.linspace(0.0, params.T, n_steps + 1)
     costs, violations = [], 0
-    for dW in _blocks(seed, n_paths, n_steps, params.T):
-        cost, viol, _ = _drive_block(curve, params, times, dW)
-        costs.append(cost)
-        violations += viol
+    with closing(_chunks(seed, n_paths, n_steps, params.T, n_steps)) as stream:
+        for _ in range(0, n_paths, BLOCK):
+            cost, viol, _ = _drive_block(curve, params, times, stream)
+            costs.append(cost)
+            violations += viol
     costs = np.concatenate(costs)
     mean = math.fsum(costs) / n_paths
     stderr = 0.0

@@ -1,6 +1,7 @@
 import io
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,16 @@ import pytest
 from targetcost import sim
 from targetcost.errors import DomainError, ResourceError, UsageError
 from targetcost.normals import Params
-from targetcost.sim import (BLOCK, MAX_LIVE_BYTES, bsde_residual,
+from targetcost.sim import (BLOCK, CHUNK, MAX_LIVE_BYTES, bsde_residual,
                             dump_path_csv, mc_cost_estimate, recorded_paths,
-                            _block_increments)
+                            _block_increments, _chunks)
 from targetcost.verify import _perturbed_curve
 from targetcost.walk import dp_value
 
 from helpers import (exponential_form_control, mc_estimate_and_costs,
-                     reference_bsde_residual, reference_mc_costs,
-                     reference_path, terminal_blowup_medians)
+                     reference_bsde_residual, reference_increments,
+                     reference_mc_costs, reference_path,
+                     terminal_blowup_medians)
 
 PARAMS = Params(2.0, 1.0, 0.0, 0.0)
 
@@ -54,19 +56,22 @@ class TestBrownian:
             rows = min(BLOCK, total - b * BLOCK)
             if rows <= 0:
                 break
-            dw = _block_increments(99, b, rows, n, math.sqrt(T / n))
+            dw = _block_increments(99, b, 0, rows, n, math.sqrt(T / n))
             sums.append(dw.sum(axis=1))
         w_T = np.concatenate(sums)
         var = w_T.var(ddof=1)
         se = T * math.sqrt(2.0 / (len(w_T) - 1))
         assert abs(var - T) <= 3.0 * se
 
-    def test_path_matches_block_row(self, curve_p2):
+    def test_path_matches_block_row(self, curve_p2, n_steps=16):
         # path i of the master seed equals row i of its block stream
-        dw_block = _block_increments(5, 0, 3, 16, 1.0)
-        paths = list(recorded_paths(curve_p2, Params(2.0, 16.0, 0.0, 0.0),
-                                    16, 5, 3))
+        dw_block = reference_increments(5, 0, 3, n_steps, 1.0)
+        paths = list(recorded_paths(
+            curve_p2, Params(2.0, float(n_steps), 0.0, 0.0), n_steps, 5, 3))
         assert np.array_equal(paths[2].dW, dw_block[2])
+
+    def test_path_matches_block_row_across_chunks(self, curve_p2):
+        self.test_path_matches_block_row(curve_p2, n_steps=130)
 
     def test_domain_errors(self, curve_p2):
         with pytest.raises(DomainError):
@@ -146,11 +151,11 @@ class TestMcCost:
                                                    40, 3)
         assert len(costs) == n_paths
 
-    def test_path_layout_across_blocks(self, curve_p2):
+    def test_path_layout_across_blocks(self, curve_p2, n_steps=50):
         # Path i of the estimate is the path regenerated alone from
         # (seed, i), on either side of a block boundary, and a shorter run
         # is a prefix of a longer one.
-        n_steps, seed = 50, 11
+        seed = 11
         *_, costs = mc_estimate_and_costs(curve_p2, PARAMS, BLOCK + 10,
                                           n_steps, seed)
         assert len(costs) == BLOCK + 10
@@ -159,6 +164,9 @@ class TestMcCost:
             assert costs[i] == pytest.approx(path.cost[-1], rel=1e-12, abs=0.0)
         *_, head = mc_estimate_and_costs(curve_p2, PARAMS, 7, n_steps, seed)
         np.testing.assert_allclose(head, costs[:7], rtol=1e-12, atol=0.0)
+
+    def test_path_layout_across_blocks_and_chunks(self, curve_p2):
+        self.test_path_layout_across_blocks(curve_p2, n_steps=130)
 
     def test_horizon_scaling(self, curve_p2):
         m1, se1, _ = mc_cost_estimate(curve_p2, PARAMS, 20_000, 400, 13)
@@ -181,26 +189,102 @@ class TestMcCost:
 
 
 class TestBlockStream:
-    """Blocks driven from their increments, the next one drawn on a helper
-    thread, give the per-path costs of the Brownian-value matrix bit for
-    bit and leave no thread behind."""
+    """Blocks driven chunk by chunk from their increments, the next chunk
+    drawn on a helper thread, give the per-path costs of the Brownian-value
+    matrix bit for bit and leave no thread behind.  Chunk j of block b holds
+    steps [64j, 64j + 64), drawn path-major from Philox keyed by (seed, b)
+    with its counter at j << 192."""
+
+    @staticmethod
+    def stream_blocks(seed, n_paths, n_steps):
+        """Each block's increments at sqrt_dt = 1, joined from the chunk
+        stream."""
+        chunks = list(_chunks(seed, n_paths, n_steps, float(n_steps), n_steps))
+        per_block = -(-n_steps // CHUNK)
+        return [np.concatenate(chunks[i:i + per_block], axis=1)
+                for i in range(0, len(chunks), per_block)]
+
+    @pytest.mark.parametrize("n_steps", [2, 64, 130])
+    def test_stream_is_a_direct_philox_draw(self, n_steps):
+        # At most 64 steps the stream is one plain path-major draw per
+        # block, keyed by (seed, block); past 64 each chunk has its own
+        # counter.
+        blocks = self.stream_blocks(3, BLOCK + 5, n_steps)
+        assert [len(b) for b in blocks] == [BLOCK, 5]
+        for b, block in enumerate(blocks):
+            assert np.array_equal(
+                block, reference_increments(3, b, len(block), n_steps, 1.0))
+            if n_steps <= CHUNK:
+                key = np.array([3, b], dtype=np.uint64)
+                direct = np.random.Generator(np.random.Philox(key=key))
+                assert np.array_equal(
+                    block, direct.standard_normal((len(block), n_steps)))
+
+    def test_full_chunks_are_a_prefix_of_longer_runs(self):
+        # The increments of steps [0, 64j) are the same for every
+        # n_steps >= 64j, in every block.
+        runs = {n: self.stream_blocks(9, BLOCK + 3, n)
+                for n in (64, 65, 128, 200)}
+        for n, blocks in runs.items():
+            for m, others in runs.items():
+                full = CHUNK * (min(n, m) // CHUNK)
+                for block, other in zip(blocks, others):
+                    assert np.array_equal(block[:, :full], other[:, :full])
 
     @pytest.mark.parametrize("bump", [False, True])
     @pytest.mark.parametrize("n_paths", [1, 7, BLOCK, 2 * BLOCK + 7])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_costs_match_brownian_matrix(self, shots_all, p, n_paths, bump):
+    def test_costs_match_brownian_matrix(self, shots_all, p, n_paths, bump,
+                                         n_steps=30):
         curve = shots_all[p].curve
         if bump:
             curve = _perturbed_curve(curve, 0.05, 0.3, 0.7)
         params = Params(p, 1.0, 0.1, 0.2)
-        *_, viol, costs = mc_estimate_and_costs(curve, params, n_paths, 30, 5)
-        ref_costs, ref_viol = reference_mc_costs(curve, params, n_paths, 30, 5)
+        *_, viol, costs = mc_estimate_and_costs(curve, params, n_paths,
+                                                n_steps, 5)
+        ref_costs, ref_viol = reference_mc_costs(curve, params, n_paths,
+                                                 n_steps, 5)
         assert np.array_equal(costs, ref_costs)
         assert viol == ref_viol
 
-    def test_bsde_residual_matches_brownian_matrix(self, curve_p2):
-        args = (curve_p2, 2.0, 1.0, 0.0, 2 * BLOCK - 5, 40, 0.3, 3)
+    @pytest.mark.parametrize("bump", [False, True])
+    @pytest.mark.parametrize("n_paths", [1, 7, BLOCK, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_costs_match_brownian_matrix_across_chunks(self, shots_all, p,
+                                                       n_paths, bump):
+        # 130 steps: two full chunks and a partial one
+        self.test_costs_match_brownian_matrix(shots_all, p, n_paths, bump,
+                                              n_steps=130)
+
+    def test_bsde_residual_matches_brownian_matrix(self, curve_p2,
+                                                   n_steps=40, delta=0.3):
+        args = (curve_p2, 2.0, 1.0, 0.0, 2 * BLOCK - 5, n_steps, delta, 3)
         assert bsde_residual(*args) == reference_bsde_residual(*args)
+
+    @pytest.mark.parametrize("delta", [0.3, 0.005])
+    def test_bsde_residual_matches_brownian_matrix_across_chunks(
+            self, curve_p2, delta):
+        # 130 steps: the window ends inside chunk 1, or (delta 0.005)
+        # inside the partial chunk 2
+        self.test_bsde_residual_matches_brownian_matrix(curve_p2, 130, delta)
+
+    def test_bsde_residual_draws_only_its_window(self, curve_p2,
+                                                 monkeypatch):
+        # 200 steps at delta 0.45: the window is steps 0 .. 109, so each
+        # block draws chunks 0 and 1 (128 steps) and not chunks 2 and 3
+        drawn, draw = [], sim._block_increments
+
+        def counts(*args):
+            out = draw(*args)
+            drawn.append(out.shape)
+            return out
+
+        monkeypatch.setattr(sim, "_block_increments", counts)
+        args = (curve_p2, 2.0, 1.0, 0.0, BLOCK + 5, 200, 0.45, 3)
+        stats = bsde_residual(*args)
+        assert stats.window_steps == 110
+        assert drawn == [(BLOCK, CHUNK)] * 2 + [(5, CHUNK)] * 2
+        assert stats == reference_bsde_residual(*args)
 
     def test_single_path_bsde_residual_matches_brownian_matrix(self,
                                                                curve_p2):
@@ -211,19 +295,24 @@ class TestBlockStream:
         assert stats == reference_bsde_residual(*args)
         assert stats.stderr == 0.0
 
-    def test_recorded_paths_match_path_by_path(self, shots_all):
-        # Chunks of recorded rows across a block boundary give what driving
+    def test_recorded_paths_match_path_by_path(self, shots_all, n_steps=6):
+        # Runs of recorded rows across a block boundary give what driving
         # one path at a time gives.
         curve = shots_all[3.0].curve
         params = Params(3.0, 2.0, 0.3, 0.2)
         index = {0, 255, 256, BLOCK - 1, BLOCK, BLOCK + 2}
-        for i, path in enumerate(recorded_paths(curve, params, 6, 8, BLOCK + 3)):
+        for i, path in enumerate(recorded_paths(curve, params, n_steps, 8,
+                                                BLOCK + 3)):
             if i in index:
-                ref = reference_path(curve, params, 6, 8, i)
+                ref = reference_path(curve, params, n_steps, 8, i)
                 for name in ("times", "dW", "W", "M", "u", "X", "cost"):
                     assert np.array_equal(getattr(path, name),
                                           getattr(ref, name)), (i, name)
         assert i == BLOCK + 2
+
+    def test_recorded_paths_match_path_by_path_across_chunks(self,
+                                                              shots_all):
+        self.test_recorded_paths_match_path_by_path(shots_all, n_steps=130)
 
     def test_one_helper_thread_joined_on_return(self, curve_p2, monkeypatch):
         before, seen = threading.active_count(), []
@@ -269,6 +358,49 @@ class TestBlockStream:
             mc_cost_estimate(curve_p2, PARAMS, 3 * BLOCK, n_steps, 1)
         assert len(calls) == n_steps
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("route", ["mc_cost_estimate", "bsde_residual"])
+    def test_error_inside_block_zero_propagates_and_joins(self, curve_p2,
+                                                          monkeypatch, route):
+        # 200 steps: the failing lookup comes in chunk 1 of block 0, while
+        # the helper holds chunk 2
+        calls, eval_g_z = [], sim.eval_g_z
+
+        def fails_in_chunk_one(curve, z, **kw):
+            calls.append(1)
+            if len(calls) == 100:
+                raise RuntimeError("kernel lookup failed")
+            return eval_g_z(curve, z, **kw)
+
+        monkeypatch.setattr(sim, "eval_g_z", fails_in_chunk_one)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="kernel lookup failed"):
+            if route == "mc_cost_estimate":
+                mc_cost_estimate(curve_p2, PARAMS, 2 * BLOCK, 200, 1)
+            else:
+                bsde_residual(curve_p2, 2.0, 1.0, 0.0, 2 * BLOCK, 200, 0.1, 1)
+        assert len(calls) == 100
+        assert threading.active_count() == before
+
+
+class TestLiveMemory:
+    """Bytes, not seconds: the traced peak of a two-block Monte Carlo run
+    at 2000 steps is about two chunks of increments (2 MB each); when the
+    stream prefetched whole blocks it was two blocks, 131 MB."""
+
+    @pytest.mark.parametrize("route", ["mc_cost_estimate", "bsde_residual"])
+    def test_peak_within_16_mb(self, curve_p2, route):
+        tracemalloc.start()
+        try:
+            if route == "mc_cost_estimate":
+                mc_cost_estimate(curve_p2, PARAMS, 2 * BLOCK, 2000, 1)
+            else:
+                bsde_residual(curve_p2, 2.0, 1.0, 0.0, 2 * BLOCK, 2000, 0.45,
+                              1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
 
 
 class TestMcArguments:
