@@ -7,8 +7,8 @@ that statement rests on a sequence of drift martingales indexed by n whose
 terminal mass tends to 1 while their accumulated entropy cost tends to 0;
 duality_witness evaluates both quantities for one n so the tradeoff and
 the resulting bound can be inspected numerically.  Both integrals come from
-their antiderivatives; the adaptive-quadrature cross-check of the entropy
-lives in verify's exp_duality suite and in the tests.
+their antiderivatives; the quadrature cross-check of the entropy lives
+in verify's exp_duality suite and in the tests.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ def duality_witness(n, T, c):
     zeta(t) = n^{-2/3} / (T + r - t)^{1 - 1/n}, r = n^-n (floored at
     REGULARIZER_FLOOR).  The drift integral int zeta dt uses the power
     rule, and the entropy (1/2) * int zeta^2 (T-t) dt is
-    entropy_closed_form.  Adaptive quadrature of the entropy in log s,
-    s = T + r - t, agrees to 1e-14 relative; verify and the tests keep it
-    as the independent check.
+    entropy_closed_form.  Quadrature of the entropy in log s,
+    s = T + r - t, agrees to 1e-14 relative; verify (Gauss-Legendre) and
+    the tests (adaptive) keep it as the independent check.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise DomainError("n must be an integer >= 2")

@@ -11,9 +11,10 @@ substitution y = cdf(z): since h(y) = pdf(z)^2 / 2, the equation becomes
 which is smooth on the whole line.  shoot solves it on [-z_edge, z_edge],
 the cutoff quantiles of epsilon and 1 - epsilon, with g = 1 and g = 0 held
 there: Newton's method on the central-difference equations, one
-tridiagonal solve per step, on the solve grid and on the grid of half its
-step, combined by Richardson extrapolation.  The midpoint value g(1/2) and
-slope gamma = dg/dy(1/2) are read off the result.
+tridiagonal solve per step (numpy cyclic reduction, _tridiagonal_solve),
+on the solve grid and on the grid of half its step, combined by Richardson
+extrapolation.  The midpoint value g(1/2) and slope gamma = dg/dy(1/2) are
+read off the result.
 
 The Newton solves run on the solve grid, uniform in z with spacing near
 GRID_DZ (solve_grid).  The curve shoot returns, and save_curve stores,
@@ -82,8 +83,11 @@ LOWER_BOUND_TOL = 1e-6
 RESIDUAL_TOL = 1e-7
 
 _MAX_NEWTON = 50
+# _tridiagonal_solve hands systems of at most this many rows to np.linalg.solve.
+_DENSE_ROWS = 64
 # One curve CSV row: what csv.writer writes for the three fields at 17 digits.
 _CSV_ROW = "%.17g,%.17g,%.17g\r\n"
+_CSV_CHUNK = 64
 
 
 def chord_lower_bound(y, z, p):
@@ -123,22 +127,30 @@ class GCurve:
         return self.gzs / std_normal_pdf(self.zs)
 
     @cached_property
-    def _hermite(self):
-        # (z0, 1/dz, Horner coefficients) of the cubic Hermite interpolant in
-        # z: a row per grid cell, then the constant rows (g_end, 0, 0, 0) of
-        # the right end and, last, the left end.  The check guards files.
-        zs, gs = self.zs, self.gs
+    def _inv_step(self):
+        # 1/dz of the uniform grid in z; the check guards files.
+        zs = self.zs
         dz = (zs[-1] - zs[0]) / (len(zs) - 1)
         if not (dz > 0.0 and np.all(
                 np.abs(zs - zs[0] - dz * np.arange(len(zs))) <= 1e-9 * dz)):
             raise UsageError("kernel evaluation needs the uniform quantile grid")
+        return 1.0 / dz
+
+    @cached_property
+    def _hermite(self):
+        # (z0, 1/dz, Horner coefficients) of the cubic Hermite interpolant in
+        # z: a row per grid cell, then the constant rows (g_end, 0, 0, 0) of
+        # the right end and, last, the left end.
+        zs, gs = self.zs, self.gs
+        dz = (zs[-1] - zs[0]) / (len(zs) - 1)
+        inv_dz = self._inv_step
         slope = self.gzs * dz  # g_z per cell width
         rise = np.diff(gs)
         s0, s1 = slope[:-1], slope[1:]
         coeffs = np.column_stack(
             (gs[:-1], s0, 3.0 * rise - 2.0 * s0 - s1, s0 + s1 - 2.0 * rise))
         ends = [[gs[-1], 0.0, 0.0, 0.0], [gs[0], 0.0, 0.0, 0.0]]
-        return float(zs[0]), 1.0 / dz, np.vstack((coeffs, ends))
+        return float(zs[0]), inv_dz, np.vstack((coeffs, ends))
 
     def check_params(self, params):
         """params as a Params record (tuples are coerced) for this curve's p."""
@@ -172,8 +184,51 @@ def _kernel_reaction(p, g):
     """(f, f') of the kernel ODE's term f(g) = 2 (p - 1) (g - g^{p/(p-1)})."""
     expo, two_pm1 = p / (p - 1.0), 2.0 * (p - 1.0)
     pos = np.maximum(g, 0.0)
-    return (two_pm1 * (g - pos ** expo),
-            two_pm1 * (1.0 - expo * pos ** (expo - 1.0)))
+    power = pos ** (expo - 1.0)
+    return (two_pm1 * (g - pos * power),
+            two_pm1 * (1.0 - expo * power))
+
+
+def _tridiagonal_solve(sub, diag, sup, rhs):
+    """x with sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i] for
+    every row i; sub[0] and sup[-1] must be 0.
+
+    Odd-even cyclic reduction (Buzbee, Golub & Nielson 1970): each level
+    folds every even row into its two odd neighbours, which leaves a
+    tridiagonal system in the odd unknowns of half the size, until at most
+    _DENSE_ROWS rows remain for np.linalg.solve; back-substitution then
+    recovers the even unknowns level by level.  An even row count gains a
+    row x = 0 first, so that every odd row has two neighbours.  Stable
+    without pivoting on diagonally dominant systems.
+    """
+    a, b, c, d = sub, diag, sup, rhs
+    levels = []
+    while len(b) > _DENSE_ROWS:
+        n = len(b)
+        if n % 2 == 0:
+            a, b, c, d = (np.append(a, 0.0), np.append(b, 1.0),
+                          np.append(c, 0.0), np.append(d, 0.0))
+        neg_inv = np.divide(-1.0, b[::2])
+        alpha = a[1::2] * neg_inv[:-1]
+        beta = c[1::2] * neg_inv[1:]
+        levels.append((n, a[::2], c[::2], d[::2], neg_inv))
+        b_next = b[1::2] + alpha * c[:-1:2] + beta * a[2::2]
+        d_next = d[1::2] + alpha * d[:-1:2] + beta * d[2::2]
+        a, b, c, d = alpha * a[:-1:2], b_next, beta * c[2::2], d_next
+    n = len(b)
+    dense = np.zeros((n, n))
+    dense.flat[::n + 1] = b
+    dense.flat[n::n + 1] = a[1:]
+    dense.flat[1::n + 1] = c[:-1]
+    x = np.linalg.solve(dense, d)
+    for n, a_even, c_even, d_even, neg_inv in reversed(levels):
+        # full[1:-1] holds the level's unknowns, between two zeros
+        full = np.zeros(2 * len(neg_inv) + 1)
+        full[2:-1:2] = x
+        x_even = a_even * full[:-1:2] + c_even * full[2::2] - d_even
+        np.multiply(x_even, neg_inv, out=full[1::2])
+        x = full[1:n + 1]
+    return x
 
 
 def _newton(p, zs, g, reaction):
@@ -181,31 +236,31 @@ def _newton(p, zs, g, reaction):
     reaction(g) = (f(g), f'(g)), on the uniform nodes zs by Newton's method,
     holding the end values of the start g fixed.
 
-    Each step is one tridiagonal solve; iteration stops once no node moves
-    by more than 1e-10, so a linear f takes one step and one to confirm it.
-    Raises CalibrationError when that does not happen in _MAX_NEWTON steps.
+    Each step is one tridiagonal solve (_tridiagonal_solve) whose off-
+    diagonals, fixed by the grid, are built once; iteration stops once no
+    node moves by more than 1e-10, so a linear f takes one step and one to
+    confirm it.  Raises CalibrationError when that does not happen in
+    _MAX_NEWTON steps, or a step is not finite.
     """
-    # Imported here so that only the commands that calibrate load SciPy.
-    from scipy.linalg import solve_banded
-
     h = zs[1] - zs[0]
     zi = zs[1:-1]
-    band = np.zeros((3, len(zi)))
-    band[0, 1:] = 1.0 / h ** 2 + zi[:-1] / (2.0 * h)   # superdiagonal
-    band[2, :-1] = 1.0 / h ** 2 - zi[1:] / (2.0 * h)   # subdiagonal
+    sub = 1.0 / h ** 2 - zi / (2.0 * h)
+    sup = 1.0 / h ** 2 + zi / (2.0 * h)
+    sub[0] = sup[-1] = 0.0
     g = np.array(g, dtype=float)
     for _ in range(_MAX_NEWTON):
         gi = g[1:-1]
-        f, band[1] = reaction(gi)
-        band[1] -= 2.0 / h ** 2
+        f, df = reaction(gi)
         resid = ((g[2:] - 2.0 * gi + g[:-2]) / h ** 2
                  + zi * (g[2:] - g[:-2]) / (2.0 * h) + f)
-        step = solve_banded((1, 1), band, resid)
+        step = _tridiagonal_solve(sub, df - 2.0 / h ** 2, sup, resid)
         g[1:-1] -= step
-        if not np.all(np.isfinite(g)):
-            break
-        if np.max(np.abs(step)) <= 1e-10:
+        # A NaN or inf in the step carries through the max.
+        worst = np.max(np.abs(step))
+        if worst <= 1e-10:
             return g
+        if not math.isfinite(worst):
+            break
     raise CalibrationError("Newton iteration did not converge",
                            diagnostics={"p": p, "nodes": len(zs)})
 
@@ -255,8 +310,9 @@ def shoot(p, epsilon=DEFAULT_EPSILON):
     Newton's method on the central-difference equations in z (see _newton),
     started from the chord between the two end values, solves on the
     solve grid and again on the grid of half its step, started from the
-    first solution; the values are the Richardson combination
-    (4 fine - coarse) / 3 and the slopes their fourth-order differences.
+    first solution and the averages of its neighbouring values; the values
+    are the Richardson combination (4 fine - coarse) / 3 and the slopes
+    their fourth-order differences.
     gamma is dg/dy at y = 1/2.  The invariants are checked on the solve
     grid; the returned curve keeps every STORE_STRIDE-th node.  Both
     solves hold the chord's end values, and (4 * 1 - 1) / 3 = 1, so the
@@ -272,7 +328,10 @@ def shoot(p, epsilon=DEFAULT_EPSILON):
     reaction = partial(_kernel_reaction, p)
     coarse = _newton(p, zs, 0.5 - zs / (2.0 * zs[-1]), reaction)
     fine_zs = solve_grid(epsilon, refine=2)
-    fine = _newton(p, fine_zs, np.interp(fine_zs, zs, coarse), reaction)
+    start = np.empty(len(fine_zs))
+    start[::2] = coarse
+    start[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    fine = _newton(p, fine_zs, start, reaction)
     solved = _snapped(p, epsilon, zs, (4.0 * fine[::2] - coarse) / 3.0)
     g_mid = float(solved.gs[n_half])
     gamma = float(solved.gzs[n_half]) * math.sqrt(2.0 * math.pi)
@@ -390,7 +449,7 @@ def ode_residuals(curve):
     side), which is the collocation set the residual contract refers to.
     """
     z, g, q = curve.zs, curve.gs, curve.gzs
-    step = 1.0 / curve._hermite[1]
+    step = 1.0 / curve._inv_step
     g_zz = (-q[4:] + 8.0 * q[3:-1] - 8.0 * q[1:-3] + q[:-4]) / (12.0 * step)
     zi, gi = z[2:-2], g[2:-2]
     nonlinear = (curve.p - 1.0) * (gi - np.maximum(gi, 0.0) ** (curve.p / (curve.p - 1.0)))
@@ -422,9 +481,13 @@ def save_curve(curve, csv_path, sidecar_path, meta=None):
     in \\r\\n) plus a JSON sidecar with the calibration summary."""
     with open(csv_path, "w", newline="") as fh:
         fh.write("z,g,g_z\r\n")
-        # Rows stream from the arrays: lists of all the values (tolist) would
-        # leave the heap about 0.5 MB higher for the next calibration.
-        fh.writelines(map(_CSV_ROW.__mod__, zip(curve.zs, curve.gs, curve.gzs)))
+        # Rows go out _CSV_CHUNK at a time, one format call each: lists of
+        # all the values (tolist) would leave the heap about 0.5 MB higher
+        # for the next calibration.
+        rows = np.column_stack((curve.zs, curve.gs, curve.gzs))
+        for start in range(0, len(rows), _CSV_CHUNK):
+            chunk = rows[start:start + _CSV_CHUNK]
+            fh.write(_CSV_ROW * len(chunk) % tuple(chunk.ravel().tolist()))
     sidecar = {"p": curve.p, "epsilon": curve.epsilon,
                "g_mid": None, "gamma": None,
                "left_residual": curve.left_residual,

@@ -449,6 +449,25 @@ print(json.dumps({"import": at_import, "codes": codes,
 """
 
 
+# Every command, with any import of SciPy made to fail.
+_SCIPY_BLOCKED_PROBE = """
+import json, sys
+sys.modules["scipy"] = None
+from targetcost import cli
+
+codes = [cli.main(argv) for argv in (
+    ["calibrate", "--p", "2"],
+    ["value", "--curve", "gcurve_p2.csv"],
+    ["oracle", "--n", "100"],
+    ["simulate", "--n-paths", "64", "--n-steps", "50", "--seed", "1"],
+    ["bsde-check", "--n-paths", "64", "--n-steps", "50", "--seed", "1"],
+    ["expcase", "--out", "w.csv"],
+    ["verify", "--budget", "quick"],
+)]
+print(json.dumps(codes))
+"""
+
+
 class TestStartup:
     def test_commands_without_calibration_load_no_scipy(self, workdir):
         proc = run_python(["-c", _SCIPY_PROBE], cwd=workdir)
@@ -457,6 +476,11 @@ class TestStartup:
         assert probe["import"] == []
         assert probe["codes"] == [0, 0, 0, 0]
         assert probe["commands"] == []
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        proc = run_python(["-c", _SCIPY_BLOCKED_PROBE], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * 7
 
 
 class TestParserReuse:
@@ -586,8 +610,39 @@ class TestHelp:
 # (c = +-9) and the free state (x = 1).  The dump of BLOCK + 3 paths was
 # recorded again when curves came to be stored in z: the stored nodes and
 # slopes no longer pass through the levels, which moves some interior
-# kernel values, and so 18 of its paths' controls, by an ulp.
+# kernel values, and so 18 of its paths' controls, by an ulp.  All but the
+# two tail cases of GOLDEN_VALUE, GOLDEN_SIMULATE and the non-empty dumps
+# were recorded again when the kernel's tridiagonal solve moved from a
+# banded LU factorization to cyclic reduction, which moved the calibrated
+# curve by about 1e-14; GOLDEN_VALUE_BANDED_LU keeps the value outputs as
+# they were before.
 GOLDEN_VALUE = {
+    (): (
+        '{"T": 1.0, "c": 0.0, "g_at_level": 0.866688108254963, '
+        '"level": 0.5, "p": 2.0, "value": 0.866688108254963, "x": 0.0}\n'),
+    ('--x', '1'): (
+        '{"T": 1.0, "c": 0.0, "g_at_level": 0.866688108254963, '
+        '"level": 0.5, "p": 2.0, "value": 0.0, "x": 1.0}\n'),
+    ('--c', '9'): (
+        '{"T": 1.0, "c": 9.0, "g_at_level": 0.0, '
+        '"level": 0.9999999999999993, "p": 2.0, "value": 0.0, "x": 0.0}\n'),
+    ('--c', '-9'): (
+        '{"T": 1.0, "c": -9.0, "g_at_level": 1.0, '
+        '"level": 6.220960574271819e-16, "p": 2.0, "value": 1.0, "x": 0.0}\n'),
+    ('--T', '1.7', '--x', '0.25', '--c', '-0.3'): (
+        '{"T": 1.7, "c": -0.3, "g_at_level": 0.9080583561635542, '
+        '"level": 0.40901111320746447, "p": 2.0, '
+        '"value": 0.3004604854952937, "x": 0.25}\n'),
+    ('--T', '4', '--x', '0.5', '--c', '3.6'): (
+        '{"T": 4.0, "c": 3.6, "g_at_level": 0.23094782256309834, '
+        '"level": 0.9640696808870742, "p": 2.0, '
+        '"value": 0.014434238910193646, "x": 0.5}\n'),
+    ('--T', '0.25', '--x', '0.1', '--c', '-0.9'): (
+        '{"T": 0.25, "c": -0.9, "g_at_level": 0.9971972783538241, '
+        '"level": 0.03593031911292581, "p": 2.0, '
+        '"value": 3.2309191818663905, "x": 0.1}\n'),
+}
+GOLDEN_VALUE_BANDED_LU = {
     (): (
         '{"T": 1.0, "c": 0.0, "g_at_level": 0.8666881082549477, '
         '"level": 0.5, "p": 2.0, "value": 0.8666881082549477, "x": 0.0}\n'),
@@ -614,15 +669,15 @@ GOLDEN_VALUE = {
         '"value": 3.2309191818663896, "x": 0.1}\n'),
 }
 GOLDEN_SIMULATE = (
-    '{"feasibility_violations": 0, "mean_cost": 0.4636910033050914, '
+    '{"feasibility_violations": 0, "mean_cost": 0.46369100330509744, '
     '"n_paths": 4106, "n_steps": 4, "params": {"T": 1.0, "c": 0.1, '
-    '"p": 2.0, "x": 0.2}, "seed": 6, "stderr": 0.0027201900073544004}\n')
+    '"p": 2.0, "x": 0.2}, "seed": 6, "stderr": 0.00272019000735427}\n')
 GOLDEN_DUMP_SHA256 = {
     0: 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-    1: '7e31210ec90eef07789d77a1da5c27af35bc34b2a88fe8f0e71a619457f640b4',
-    5: '33c5ea9aefed15c64985d3e5228e81d5d637ab9b4c35309e5df3bd273ecf2bed',
+    1: '3b6576d3a4a65f05d79b1a714b509b160ce1265990554f106bc229976fc88c00',
+    5: 'dff49de9238c56ec0c7e0285a500e4cf4fc2449c4156e054ee49da08b119893a',
     BLOCK + 3:
-        'f3f07df2cd20c5ab604d1524f17d4759bb185079b0dbd78747f27b81a97803b0',
+        'df2d9e308985bed40543e70e380ce015de088cc147b43a7b310f03d215f28ffd',
 }
 GOLDEN_EXPCASE = {
     (): (
@@ -648,6 +703,17 @@ class TestGoldenBits:
         monkeypatch.chdir(workdir)
         assert cli.main(["value", "--curve", "gcurve_p2.csv", *case]) == 0
         assert capsys.readouterr().out == GOLDEN_VALUE[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_VALUE_BANDED_LU))
+    def test_value_within_rounding_of_banded_lu(self, workdir, monkeypatch,
+                                                capsys, case):
+        monkeypatch.chdir(workdir)
+        assert cli.main(["value", "--curve", "gcurve_p2.csv", *case]) == 0
+        got = json.loads(capsys.readouterr().out)
+        before = json.loads(GOLDEN_VALUE_BANDED_LU[case])
+        assert got.keys() == before.keys()
+        for key, value in before.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
     @pytest.mark.parametrize("count", sorted(GOLDEN_DUMP_SHA256))
     def test_simulate(self, workdir, tmp_path, monkeypatch, capsys, count):

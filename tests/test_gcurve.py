@@ -29,6 +29,18 @@ from helpers import (reference_eval_g_z, reference_ivp,
 TRUE_G_MID_P2 = 0.8687
 TRUE_GAMMA_P2 = -0.5073
 
+# shoot's (g_mid, gamma) as float.hex when a banded LU factorization did
+# its tridiagonal solves; cyclic reduction moves them by rounding only.
+SHOOT_BANDED_LU = {
+    1.01: ('0x1.081481b025d8bp-1', '-0x1.0474e1d1bc050p+0'),
+    1.5: ('0x1.9cb1b453552e8p-1', '-0x1.7049ec3509ba2p-1'),
+    2.0: ('0x1.bbbe8b3192ffdp-1', '-0x1.079e61edfcd78p-1'),
+    3.0: ('0x1.cddc335038d9cp-1', '-0x1.89776b6fdf76ep-2'),
+    7.0: ('0x1.d93b062ee56bbp-1', '-0x1.3298e4a6e4aadp-2'),
+    20.0: ('0x1.dc9f786aa193cp-1', '-0x1.18582af1ebddep-2'),
+    50.0: ('0x1.dd85fcd6fde73p-1', '-0x1.115a6165e6894p-2'),
+}
+
 
 class TestIntegrate:
     def test_constant_one_has_zero_residual(self):
@@ -111,6 +123,13 @@ class TestShoot:
         # that stops holding the ends has to define what they measure.
         gs = shoot(p, epsilon).curve.gs
         assert (gs[0], gs[-1]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("p", sorted(SHOOT_BANDED_LU))
+    def test_midpoint_pair_within_rounding_of_banded_lu(self, p):
+        res = shoot(p)
+        g_mid, gamma = map(float.fromhex, SHOOT_BANDED_LU[p])
+        assert abs(res.g_mid - g_mid) <= 1e-12
+        assert abs(res.gamma - gamma) <= 1e-12
 
     def test_p2_agrees_with_walk_program(self, shot_p2):
         oracle = dp_value(2000, 1.0, 0.0, 2.0)
