@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (CalibrationError, ResourceError, TargetCostError,
                      UsageError)
 from .normals import CDF_MIN, Params, std_normal_cdf
-from .ode import eval_g, load_curve, save_curve, shoot, value_function
+from .ode import DEFAULT_EPSILON, eval_g, load_curve, save_curve, shoot, value_function
 from .sim import (bsde_residual, dump_path_csv, mc_cost_estimate,
                   recorded_paths)
 from .walk import dp_g_profile, dp_value, save_profile
@@ -102,7 +102,8 @@ def cmd_calibrate(args):
     curve = result.curve
     save_curve(curve, out + ".csv", out + ".json",
                meta={"g_mid": result.g_mid, "gamma": result.gamma,
-                     "invariants": result.invariants})
+                     "invariants": result.invariants,
+                     "solver": result.solver})
     print(f"g_mid = {result.g_mid:.17g}")
     print(f"gamma = {result.gamma:.17g}")
     print(f"left_residual = {curve.left_residual:.3e}")
@@ -241,7 +242,8 @@ def build_parser():
 
     add("calibrate", cmd_calibrate, [
         ("--p", dict(type=float, default=2.0, help="cost exponent > 1")),
-        ("--epsilon", dict(type=float, default=1e-4, help="endpoint cutoff")),
+        ("--epsilon", dict(type=float, default=DEFAULT_EPSILON,
+                           help="tail target: stored ends within it of 1, 0")),
         ("--out", dict(default="", help="output prefix (csv + json)")),
     ])
     add("value", cmd_value, [

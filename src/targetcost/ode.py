@@ -8,40 +8,34 @@ substitution y = cdf(z): since h(y) = pdf(z)^2 / 2, the equation becomes
 
     g_zz = -z g_z - 2 (p - 1) (g - g^{p/(p-1)})
 
-which is smooth on the whole line.  shoot solves it on [-z_edge, z_edge],
-the cutoff quantiles of epsilon and 1 - epsilon, with g = 1 and g = 0 held
-there: Newton's method on the central-difference equations, one
-tridiagonal solve per step (numpy cyclic reduction, _tridiagonal_solve),
-on the solve grid and on the grid of half its step, combined by Richardson
-extrapolation.  The midpoint value g(1/2) and slope gamma = dg/dy(1/2) are
-read off the result.
+which is smooth on the whole line: an HJB equation minimised by the
+feedback kappa = g^{1/(p-1)}, with the value its minimal positive solution.
+shoot solves it on [-8, max(8, sqrt(2p - 3) + 8)], past the peak of the right
+tail mode z^{2p-3} e^{-z^2/2}, with g = 1 and g = 0 at the ends, by
+Howard's policy iteration (Howard 1960; Bokanowski, Maroso & Zidani 2009),
+Newton's method on the HJB equation: each step solves policy_cost's linear
+equation for the current feedback (_linear_solve, by cyclic reduction), so
+each iterate is the exact discrete cost of an admissible feedback.  The
+ladder runs at steps 2 GRID_DZ, GRID_DZ and GRID_DZ / 2, each level started
+from the one before by midpoint averages; the Richardson values (4 fine -
+coarse) / 3 of the two finest, on the GRID_DZ nodes, are where g(1/2),
+gamma = dg/dy(1/2) and the curve contracts (curve_invariant_report) are read.
 
-The Newton solves run on the solve grid, uniform in z with spacing near
-GRID_DZ (solve_grid).  The curve shoot returns, and save_curve stores,
-keeps every STORE_STRIDE-th solve node, as many as the cubic Hermite
-evaluator needs: on them it matches the solve-grid interpolant to 1.2e-11
-at p = 2, and within 1e-10 at every p up to 50.  shoot checks the curve
-contracts (curve_invariant_report) on the solve grid, before thinning, and
-returns that verdict with the curve; calibrate writes it to the sidecar.
-ode_residuals on the stored nodes reads a five-point stencil of seven
-times the step, so it reports more than on the solve grid (1.5e-7 against
-1.3e-8 at p = 4): the residual contract is the solve grid's, and the
-sidecar holds its verdict.
+The curve shoot returns keeps every STORE_STRIDE-th GRID_DZ node from
+z = 0, which the cubic Hermite evaluator needs to match their interpolant
+to 1e-10, over the z-range where g lies farther than the tail target
+epsilon from 1 and 0, plus the outermost node on each side.  ode_residuals
+reads a stencil three times wider there, so the residual contract is the
+GRID_DZ grid's, whose verdict the sidecar holds.  Concave means concave in
+y: each value lies on or below the tangent line in y at each neighbouring
+node, in value units, so it reads the same on any grid (g is convex in z
+on the right half).
 
-Concave means concave in y: each value lies on or below the tangent line
-in y at each neighbouring node.  The check is in value units, so it reads
-the same on any grid; second differences of values on a grid uniform in z
-would measure dz^2 g_zz instead, and g is convex in z on the right half.
-
-The tests check the result by an independent initial-value route: from the
-midpoint pair, SciPy's DOP853 integrates outward onto the solve grid.
-
-Curves store the solve's own (z, g, g_z) on a grid uniform in z, with the
-levels ys = cdf(zs) and slopes dgs = dg/dy as derived views, and serialize
-to CSV at 17 significant digits, so a reload is the same data, plus a JSON
-sidecar.  Every kernel lookup goes through one evaluator, eval_g_z: the
-cubic Hermite interpolant in z through the stored values and slopes, and
-past either end the end value (exactly 1 and 0 on a calibrated curve).
+Curves store (z, g, g_z) on a grid uniform in z, with the levels
+ys = cdf(zs) and slopes dgs = dg/dy as derived views, as CSV at 17
+significant digits plus a JSON sidecar.  Every kernel lookup goes through
+eval_g_z: the cubic Hermite interpolant in z through the stored values and
+slopes, and past either end the end value.
 
 policy_cost scores a curve as the feedback u = kappa (1 - X) / (T - t),
 kappa = max(g, 0)^{1/(p-1)}.  The z-score (c - W) / sqrt(T - t) is an
@@ -49,7 +43,8 @@ Ornstein-Uhlenbeck process on the clock log(T / (T - t)), so by Feynman-Kac
 (Fleming & Soner 2006, ch. IV) the cost-to-go is (1 - X)^p (T - t)^{1-p}
 phi(z), phi'' + z phi' + 2 (p - 1 - p kappa) phi + 2 kappa^p = 0 with
 phi(-inf) = 1, phi(+inf) = 0: at the exact kernel the kernel ODE, so
-phi = g.  It is linear, so _newton solves it in one step.
+phi = g.  The tests check shoot by policy_cost of its own curve, and by
+SciPy's DOP853 integrating outward from the midpoint pair.
 """
 
 from __future__ import annotations
@@ -57,33 +52,31 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CalibrationError, DomainError, UsageError
 from .normals import CDF_MIN, Params, std_normal_cdf, std_normal_pdf, std_normal_quantile
 
-DEFAULT_EPSILON = 1e-4
+# The stored range's tail target: the stored ends lie within it of 1 and 0.
+DEFAULT_EPSILON = 1e-10
 # The largest distance of the stored ends from 1 and 0 that verify accepts.
 DEFAULT_BOUNDARY_TOL = 1e-3
-# Spacing of the solve grid in the z coordinate, where the Newton solves
-# run and the curve contracts are checked.  Fine enough that the five-point
-# stencil used by ode_residuals resolves the curvature to well below the
-# 1e-7 residual contract at p <= 5.
-GRID_DZ = 1.25e-3
-# The stored curve keeps every STORE_STRIDE-th solve node (8.75e-3 in z),
-# all the evaluator needs (see above).
-STORE_STRIDE = 7
+# Step in z of the Richardson values (module docstring); ode_residuals
+# reads at most 1.1e-9 on them at p <= 50.  The stored step is 1.371e-2.
+GRID_DZ = 4.0 / 875.0
+STORE_STRIDE = 3
 POLICY_DZ = 2e-3
 # curve_invariant_report's tolerances: concave, lower_bound, ode_residual
 CONCAVITY_TOL = 1e-6
 LOWER_BOUND_TOL = 1e-6
 RESIDUAL_TOL = 1e-7
 
-_MAX_NEWTON = 50
-# _tridiagonal_solve hands systems of at most this many rows to np.linalg.solve.
+_HOWARD_TOL = 1e-10  # Howard's largest step at convergence
+_MAX_HOWARD = 50
+# _tridiagonal_solve solves systems of at most this many rows by Thomas's algorithm.
 _DENSE_ROWS = 64
 # One curve CSV row: what csv.writer writes for the three fields at 17 digits.
 _CSV_ROW = "%.17g,%.17g,%.17g\r\n"
@@ -105,11 +98,11 @@ def chord_lower_bound(y, z, p):
 
 @dataclass(frozen=True)
 class GCurve:
-    """Discretized kernel g on [epsilon, 1 - epsilon], stored in z.
+    """Discretized kernel g, stored in z.
 
     Arrays are aligned: zs ascending and uniform, gs the values, gzs = g_z;
     the levels ys = cdf(zs) and dgs = dg/dy are derived.  Treat all arrays
-    as immutable.
+    as immutable.  A calibrated curve's ends lie within epsilon of 1 and 0.
     """
 
     p: float
@@ -171,97 +164,112 @@ class GCurve:
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Calibrated midpoint data, the stored curve, and the
-    curve_invariant_report of the curve on the solve grid."""
+    """Midpoint data, the stored curve, its invariants on the GRID_DZ grid,
+    and the solver's counters: Howard steps per level, g_mid's Richardson bar
+    (a third of the two finest levels' gap) and the stored range's rule."""
 
     g_mid: float
     gamma: float
     curve: GCurve
     invariants: dict
-
-
-def _kernel_reaction(p, g):
-    """(f, f') of the kernel ODE's term f(g) = 2 (p - 1) (g - g^{p/(p-1)})."""
-    expo, two_pm1 = p / (p - 1.0), 2.0 * (p - 1.0)
-    pos = np.maximum(g, 0.0)
-    power = pos ** (expo - 1.0)
-    return (two_pm1 * (g - pos * power),
-            two_pm1 * (1.0 - expo * power))
+    solver: dict
 
 
 def _tridiagonal_solve(sub, diag, sup, rhs):
     """x with sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i] for
-    every row i; sub[0] and sup[-1] must be 0.
+    every row i; sub[0] and sup[-1] are not read.
 
-    Odd-even cyclic reduction (Buzbee, Golub & Nielson 1970): each level
-    folds every even row into its two odd neighbours, which leaves a
-    tridiagonal system in the odd unknowns of half the size, until at most
-    _DENSE_ROWS rows remain for np.linalg.solve; back-substitution then
-    recovers the even unknowns level by level.  An even row count gains a
-    row x = 0 first, so that every odd row has two neighbours.  Stable
-    without pivoting on diagonally dominant systems.
+    Odd-even cyclic reduction (Buzbee, Golub & Nielson 1970), on the system
+    padded with rows x = 0 to 2^L q - 1 rows, q <= _DENSE_ROWS + 1: each of
+    L levels folds every even row into its two odd neighbours, which leaves
+    a tridiagonal system in the odd unknowns of half the size.  The last
+    q - 1 rows are solved by Thomas's algorithm in Python floats, which
+    costs them less than np.linalg.solve does; back-substitution then
+    recovers the even unknowns level by level.  Stable without pivoting on
+    diagonally dominant systems.
     """
-    a, b, c, d = sub, diag, sup, rhs
+    n = len(diag)
+    depth = max(0, math.ceil(math.log2((n + 1) / (_DENSE_ROWS + 1))))
+    pad = np.zeros(2 ** depth * -(-(n + 1) // 2 ** depth) - 1 - n)
+    a, b, c, d = (np.concatenate((v, pad)) for v in (sub, diag, sup, rhs))
+    a[0] = c[n - 1] = 0.0
+    b[n:] = 1.0
     levels = []
-    while len(b) > _DENSE_ROWS:
-        n = len(b)
-        if n % 2 == 0:
-            a, b, c, d = (np.append(a, 0.0), np.append(b, 1.0),
-                          np.append(c, 0.0), np.append(d, 0.0))
+    for _ in range(depth):
         neg_inv = np.divide(-1.0, b[::2])
         alpha = a[1::2] * neg_inv[:-1]
         beta = c[1::2] * neg_inv[1:]
-        levels.append((n, a[::2], c[::2], d[::2], neg_inv))
+        levels.append((a[::2], c[::2], d[::2], neg_inv))
         b_next = b[1::2] + alpha * c[:-1:2] + beta * a[2::2]
         d_next = d[1::2] + alpha * d[:-1:2] + beta * d[2::2]
         a, b, c, d = alpha * a[:-1:2], b_next, beta * c[2::2], d_next
-    n = len(b)
-    dense = np.zeros((n, n))
-    dense.flat[::n + 1] = b
-    dense.flat[n::n + 1] = a[1:]
-    dense.flat[1::n + 1] = c[:-1]
-    x = np.linalg.solve(dense, d)
-    for n, a_even, c_even, d_even, neg_inv in reversed(levels):
+    a, b, c, x = a.tolist(), b.tolist(), c.tolist(), d.tolist()
+    for i in range(1, len(b)):
+        w = a[i] / b[i - 1]
+        b[i] -= w * c[i - 1]
+        x[i] -= w * x[i - 1]
+    x[-1] /= b[-1]
+    for i in range(len(b) - 2, -1, -1):
+        x[i] = (x[i] - c[i] * x[i + 1]) / b[i]
+    x = np.array(x)
+    for a_even, c_even, d_even, neg_inv in reversed(levels):
         # full[1:-1] holds the level's unknowns, between two zeros
         full = np.zeros(2 * len(neg_inv) + 1)
         full[2:-1:2] = x
         x_even = a_even * full[:-1:2] + c_even * full[2::2] - d_even
         np.multiply(x_even, neg_inv, out=full[1::2])
-        x = full[1:n + 1]
-    return x
+        x = full[1:-1]
+    return x[:n]
 
 
-def _newton(p, zs, g, reaction):
-    """Solve the central-difference equations of g_zz + z g_z + f(g) = 0,
-    reaction(g) = (f(g), f'(g)), on the uniform nodes zs by Newton's method,
-    holding the end values of the start g fixed.
+def _whole_line(p, dz, refine=1):
+    """(nodes, index of z = 0): uniform in z on [-8, max(8, sqrt(2p - 3)
+    + 8)] at step dz, each step split into `refine`."""
+    n_left = round(8.0 / dz)
+    n_right = round((8.0 + math.sqrt(max(2.0 * p - 3.0, 0.0))) / dz)
+    return (dz / refine * np.arange(-refine * n_left, refine * n_right + 1),
+            refine * n_left)
 
-    Each step is one tridiagonal solve (_tridiagonal_solve) whose off-
-    diagonals, fixed by the grid, are built once; iteration stops once no
-    node moves by more than 1e-10, so a linear f takes one step and one to
-    confirm it.  Raises CalibrationError when that does not happen in
-    _MAX_NEWTON steps, or a step is not finite.
-    """
+
+def _difference_rows(zs):
+    """(sub, sup, centre): phi'' + z phi' by central differences at the
+    interior nodes of the uniform zs; sub + sup = -centre."""
     h = zs[1] - zs[0]
-    zi = zs[1:-1]
-    sub = 1.0 / h ** 2 - zi / (2.0 * h)
-    sup = 1.0 / h ** 2 + zi / (2.0 * h)
-    sub[0] = sup[-1] = 0.0
-    g = np.array(g, dtype=float)
-    for _ in range(_MAX_NEWTON):
+    sub = 1.0 / h ** 2 - zs[1:-1] / (2.0 * h)
+    return sub, 2.0 / h ** 2 - sub, -2.0 / h ** 2
+
+
+def _linear_solve(rows, rate, source, left, right):
+    """phi = left, right at the ends of rows' nodes (_difference_rows) and
+    phi'' + z phi' + rate phi + source = 0 inside, by one _tridiagonal_solve."""
+    sub, sup, centre = rows
+    rhs = np.negative(source)
+    rhs[0] -= sub[0] * left
+    rhs[-1] -= sup[-1] * right
+    inner = _tridiagonal_solve(sub, centre + rate, sup, rhs)
+    return np.concatenate(([left], inner, [right]))
+
+
+def _howard(p, zs, g):
+    """(g, steps): Howard from g on the nodes zs, ends held, until no node
+    moves by more than _HOWARD_TOL (else CalibrationError).  Each step solves
+    the cost-to-go equation of kappa = clip(g, 0, 1)^{1/(p-1)} for the change
+    in g, driven by g's residual, so the solve's rounding stays in the step."""
+    rows = sub, sup, _ = _difference_rows(zs)
+    for step in range(1, _MAX_HOWARD + 1):
         gi = g[1:-1]
-        f, df = reaction(gi)
-        resid = ((g[2:] - 2.0 * gi + g[:-2]) / h ** 2
-                 + zi * (g[2:] - g[:-2]) / (2.0 * h) + f)
-        step = _tridiagonal_solve(sub, df - 2.0 / h ** 2, sup, resid)
-        g[1:-1] -= step
-        # A NaN or inf in the step carries through the max.
-        worst = np.max(np.abs(step))
-        if worst <= 1e-10:
-            return g
-        if not math.isfinite(worst):
-            break
-    raise CalibrationError("Newton iteration did not converge",
+        level = np.clip(gi, 0.0, 1.0)
+        kappa = level ** (1.0 / (p - 1.0))
+        rate = 2.0 * (p - 1.0) - 2.0 * p * kappa
+        # differences of neighbours first: the residual rounds like g''
+        resid = (sub * (g[:-2] - gi) + sup * (g[2:] - gi) + rate * gi
+                 + 2.0 * kappa * level)
+        change = _linear_solve(rows, rate, resid, 0.0, 0.0)
+        g = g + change
+        # A NaN step fails the test, and so runs on to the error below.
+        if np.max(np.abs(change)) <= _HOWARD_TOL:
+            return g, step
+    raise CalibrationError("Howard iteration did not converge",
                            diagnostics={"p": p, "nodes": len(zs)})
 
 
@@ -293,79 +301,72 @@ def _snapped(p, epsilon, zs, gs):
                   epsilon=float(epsilon))
 
 
-def solve_grid(epsilon, refine=1):
-    """shoot's nodes in z at cutoff epsilon, each step split into `refine`:
-    uniform on [-z_edge, z_edge], z_edge = -quantile(epsilon), with n_half
-    steps per side, the multiple of STORE_STRIDE nearest z_edge / GRID_DZ."""
-    z_edge = -std_normal_quantile(epsilon)
-    n_half = STORE_STRIDE * max(1, round(z_edge / (STORE_STRIDE * GRID_DZ)))
-    return z_edge / n_half / refine * np.arange(-refine * n_half,
-                                                refine * n_half + 1)
+def _ladder(p, epsilon):
+    """(curve on the GRID_DZ nodes, index of z = 0, Howard steps per level,
+    g_mid's Richardson bar), from the chord between the end values 1 and 0."""
+    finest, mid = _whole_line(p, 2.0 * GRID_DZ, 4)
+    g, steps = None, []
+    for zs in (finest[::4], finest[::2], finest):
+        coarse, g = g, ((zs[-1] - zs) / (zs[-1] - zs[0]) if g is None  # chord
+                        else np.repeat(g, 2)[:-1])
+        if coarse is not None:  # midpoint averages of the level below
+            g[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+        g, n = _howard(p, zs, g)
+        steps.append(n)
+    fine = g[::2]
+    mid //= 2
+    return (_snapped(p, epsilon, finest[::2], (4.0 * fine - coarse) / 3.0), mid,
+            steps, abs(float(fine[mid] - coarse[mid])) / 3.0)
+
+
+def _stored(curve, mid):
+    """curve's stored part (module docstring), counted from the node mid;
+    the end node where no node lies within epsilon.  gs never rises, so
+    each side's nodes within epsilon form one run."""
+    first = mid % STORE_STRIDE
+    gs = curve.gs[first::STORE_STRIDE]
+    lo = max(np.count_nonzero(1.0 - gs <= curve.epsilon), 1) - 1
+    hi = len(gs) - max(np.count_nonzero(gs <= curve.epsilon), 1)
+    keep = slice(first + STORE_STRIDE * lo, first + STORE_STRIDE * hi + 1, STORE_STRIDE)
+    return replace(curve, zs=curve.zs[keep].copy(), gs=curve.gs[keep].copy(),
+                   gzs=curve.gzs[keep].copy())
 
 
 def shoot(p, epsilon=DEFAULT_EPSILON):
-    """Calibrate the kernel with g = 1 at y = epsilon and g = 0 at
-    y = 1 - epsilon, and return it with its midpoint value and slope.
-
-    Newton's method on the central-difference equations in z (see _newton),
-    started from the chord between the two end values, solves on the
-    solve grid and again on the grid of half its step, started from the
-    first solution and the averages of its neighbouring values; the values
-    are the Richardson combination (4 fine - coarse) / 3 and the slopes
-    their fourth-order differences.
-    gamma is dg/dy at y = 1/2.  The invariants are checked on the solve
-    grid; the returned curve keeps every STORE_STRIDE-th node.  Both
-    solves hold the chord's end values, and (4 * 1 - 1) / 3 = 1, so the
-    stored ends are exactly 1 and 0.  Raises CalibrationError when Newton
-    does not converge or the solution is not monotone within [0, 1].
-    """
+    """The kernel solved on the whole line, with g(1/2) and gamma = dg/dy
+    at 1/2, stored over the range that the tail target epsilon sets (module
+    docstring), z = 0 among the stored nodes.  Raises CalibrationError when
+    Howard does not converge or the solution is not monotone in [0, 1]."""
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
         raise DomainError("p must be a finite number > 1")
     if not (CDF_MIN <= epsilon < 0.1):
         raise DomainError(f"epsilon must lie in [{CDF_MIN:.4g}, 0.1)")
-    zs = solve_grid(epsilon)
-    n_half = len(zs) // 2
-    reaction = partial(_kernel_reaction, p)
-    coarse = _newton(p, zs, 0.5 - zs / (2.0 * zs[-1]), reaction)
-    fine_zs = solve_grid(epsilon, refine=2)
-    start = np.empty(len(fine_zs))
-    start[::2] = coarse
-    start[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
-    fine = _newton(p, fine_zs, start, reaction)
-    solved = _snapped(p, epsilon, zs, (4.0 * fine[::2] - coarse) / 3.0)
-    g_mid = float(solved.gs[n_half])
-    gamma = float(solved.gzs[n_half]) * math.sqrt(2.0 * math.pi)
-    # n_half is a multiple of the stride, so the thinned curve keeps both
-    # ends and the midpoint.
-    keep = slice(None, None, STORE_STRIDE)
-    curve = GCurve(p=solved.p, zs=solved.zs[keep].copy(),
-                   gs=solved.gs[keep].copy(), gzs=solved.gzs[keep].copy(),
-                   epsilon=solved.epsilon)
-    return ShootingResult(g_mid=g_mid, gamma=gamma, curve=curve,
-                          invariants=curve_invariant_report(solved))
+    solved, mid, steps, bar = _ladder(p, epsilon)
+    return ShootingResult(
+        g_mid=float(solved.gs[mid]),
+        gamma=float(solved.gzs[mid]) * math.sqrt(2.0 * math.pi),
+        curve=_stored(solved, mid), invariants=curve_invariant_report(solved),
+        solver={"howard_steps": steps, "richardson_bar": bar,
+                "tail_target": float(epsilon), "stored_dz": STORE_STRIDE * GRID_DZ})
 
 
 def policy_cost(curve):
     """(phi(0), error bar, valid): the exact cost at c = 0, per unit
     (1 - x)^p / T^{p-1}, of the curve's feedback (module docstring).
 
-    phi is solved on [-8, max(8, sqrt(2p - 3) + 8)], past the peak of the
-    right tail mode z^{2p-3} e^{-z^2/2}, at step POLICY_DZ and half of it:
+    phi is solved on shoot's interval at step POLICY_DZ and half of it:
     phi(0) is their Richardson value, the bar a third of their gap.  Where
     kappa < (p - 1) / p the discrete phi need not stay positive; valid
     means phi >= 0 on both grids, else phi(0) is no expected cost.
     """
     p = curve.p
-    n_left = round(8.0 / POLICY_DZ)
-    n_right = round((8.0 + math.sqrt(max(2.0 * p - 3.0, 0.0))) / POLICY_DZ)
     values, valid = [], True
     for refine in (1, 2):
-        zs = POLICY_DZ / refine * np.arange(-refine * n_left, refine * n_right + 1)
+        zs, mid = _whole_line(p, POLICY_DZ, refine)
         kappa = np.maximum(eval_g_z(curve, zs[1:-1]), 0.0) ** (1.0 / (p - 1.0))
-        rate, source = 2.0 * (p - 1.0 - p * kappa), 2.0 * kappa ** p
-        phi = _newton(p, zs, (zs[-1] - zs) / (zs[-1] - zs[0]),
-                      lambda g: (rate * g + source, rate))
-        values.append(float(phi[refine * n_left]))
+        phi = _linear_solve(_difference_rows(zs), 2.0 * (p - 1.0 - p * kappa),
+                            2.0 * kappa ** p, 1.0, 0.0)
+        values.append(float(phi[mid]))
         valid &= bool(np.min(phi) >= 0.0)
     coarse, fine = values
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0, valid
@@ -403,19 +404,21 @@ def eval_g(curve, y):
     input, an array otherwise.
 
     eval_g_z at z = quantile(y), a scalar's through the scalar quantile
-    path; an exact node hit returns the stored value.
+    path; an exact node hit returns the stored value.  Only the node
+    nearest z can be hit, so only its level is computed, by the array cdf
+    that the ys view uses.
     """
     arr = np.asarray(y, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("y must lie strictly inside (0, 1)")
     scalar = np.ndim(y) == 0
     arr = np.atleast_1d(arr)
-    z = std_normal_quantile(float(y) if scalar else arr)
-    g_out = eval_g_z(curve, np.atleast_1d(z))
-    ys, gs = curve.ys, curve.gs
-    idx = np.minimum(np.searchsorted(ys, arr), len(ys) - 1)
-    at_node = ys[idx] == arr
-    g_out[at_node] = gs[idx[at_node]]
+    z = np.atleast_1d(std_normal_quantile(float(y) if scalar else arr))
+    g_out = eval_g_z(curve, z)
+    z0, inv_dz, _ = curve._hermite
+    node = np.clip(np.rint((z - z0) * inv_dz), 0, len(curve.zs) - 1).astype(np.intp)
+    at_node = std_normal_cdf(curve.zs[node]) == arr
+    g_out[at_node] = curve.gs[node[at_node]]
     return float(g_out[0]) if scalar else g_out
 
 
@@ -440,14 +443,9 @@ def value_function(curve, params, g_at_level=None):
 
 
 def ode_residuals(curve):
-    """|h g'' + (p-1)(g - g^{p/(p-1)})| at interior collocation points.
-
-    g'' comes from a five-point divided difference of the stored slopes g_z,
-    where h g'' equals (g_zz + z g_z) / 2, with the step of the uniform grid
-    the evaluator checked; the nonlinear term uses the stored values.  The
-    returned array covers nodes with a full stencil (two neighbors each
-    side), which is the collocation set the residual contract refers to.
-    """
+    """|h g'' + (p-1)(g - g^{p/(p-1)})| at the nodes with two neighbours
+    each side, the residual contract's collocation set: h g'' is
+    (g_zz + z g_z) / 2, g_zz a five-point difference of the stored g_z."""
     z, g, q = curve.zs, curve.gs, curve.gzs
     step = 1.0 / curve._inv_step
     g_zz = (-q[4:] + 8.0 * q[3:-1] - 8.0 * q[1:-3] + q[:-4]) / (12.0 * step)

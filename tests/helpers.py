@@ -7,7 +7,7 @@ panels, the scalar minimization oracle scans a dense grid, the lattice
 reference sweeps every node of the triangle with the split a* = rho/(1+rho),
 and the kernel reference integrates the initial-value problem from a
 midpoint pair with SciPy's DOP853 (Hairer, Norsett & Wanner 1993) instead of
-solving the boundary-value problem by Newton's method.  The reference curve
+solving the boundary-value problem by Howard's policy iteration.  The reference curve
 writer goes row by row through the csv module, which fixes the bytes the
 package's one-pass writer must reproduce.
 
@@ -44,7 +44,7 @@ import numpy as np
 
 import targetcost
 from targetcost.errors import DomainError
-from targetcost.ode import DEFAULT_EPSILON, eval_g_z, solve_grid
+from targetcost.ode import eval_g_z
 from targetcost.sim import (BLOCK, CHUNK, BsdeResidualStats, SimPath,
                             _chunks, _drive_block, _gain)
 from targetcost.walk import _bellman_min, dp_value
@@ -145,24 +145,24 @@ def _band_event(bound):
     return event
 
 
-def reference_ivp(p, g_mid, gamma, nodes=None):
+def reference_ivp(p, g_mid, gamma, nodes):
     """The kernel equation g_zz = -z g_z - 2 (p-1) (g - g^{p/(p-1)}) as an
     initial-value problem from g = g_mid, g_z = gamma / sqrt(2 pi) at z = 0,
     integrated outward by DOP853 (rtol 1e-11, atol 1e-12) onto nodes: an
-    ascending array symmetric about z = 0 and holding it, by default
-    shoot's solve grid at the default epsilon.
+    ascending array holding z = 0, each side integrated on its own.
 
     Returns (gs, gzs, exit): values and z-slopes on the nodes, or, when g
     leaves [-0.01, 1.01], (None, None, (branch, side, z)) with the branch
-    ('left' or 'right'), the bound crossed ('low' or 'high') and where.
+    ('left' or 'right'), the bound crossed ('low' or 'high') and the z where
+    it crosses.
     """
     from scipy.integrate import solve_ivp
 
-    if nodes is None:
-        nodes = solve_grid(DEFAULT_EPSILON)
-    nodes = nodes[len(nodes) // 2:]
-    if nodes[0] != 0.0:
-        raise ValueError("reference_ivp needs nodes symmetric about z = 0")
+    nodes = np.asarray(nodes, dtype=float)
+    zero = np.flatnonzero(nodes == 0.0)
+    if len(zero) != 1:
+        raise ValueError("reference_ivp needs nodes holding z = 0")
+    sides = (("left", nodes[zero[0]::-1]), ("right", nodes[zero[0]:]))
     expo, two_pm1 = p / (p - 1.0), 2.0 * (p - 1.0)
 
     def rhs(z, y):
@@ -171,14 +171,15 @@ def reference_ivp(p, g_mid, gamma, nodes=None):
 
     events = [_band_event(-0.01), _band_event(1.01)]
     halves = []
-    for branch, sign in (("left", -1.0), ("right", 1.0)):
-        sol = solve_ivp(rhs, (0.0, sign * nodes[-1]),
+    for branch, side_nodes in sides:
+        sol = solve_ivp(rhs, (0.0, side_nodes[-1]),
                         [g_mid, gamma * _INV_SQRT_2PI], method="DOP853",
-                        t_eval=sign * nodes, events=events, rtol=1e-11,
+                        t_eval=side_nodes, events=events, rtol=1e-11,
                         atol=1e-12)
         if sol.status == 1:
-            side = "low" if len(sol.t_events[0]) else "high"
-            return None, None, (branch, side, float(sol.t[-1]))
+            crossed = 0 if len(sol.t_events[0]) else 1
+            return None, None, (branch, ("low", "high")[crossed],
+                                float(sol.t_events[crossed][0]))
         if sol.status != 0:
             raise RuntimeError(sol.message)
         halves.append(sol.y)

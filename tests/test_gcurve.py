@@ -1,6 +1,6 @@
 import json
 import math
-from functools import partial
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from targetcost.errors import CalibrationError, DomainError, UsageError
 from targetcost.normals import (Params, std_normal_cdf, std_normal_pdf,
                                 std_normal_quantile)
-from targetcost.ode import (DEFAULT_EPSILON, STORE_STRIDE, GCurve,
-                            _kernel_reaction, _newton, _snapped,
-                            chord_lower_bound, curve_invariant_report, eval_g,
-                            eval_g_value, eval_g_z, load_curve, ode_residuals,
-                            policy_cost, save_curve, shoot, solve_grid,
+from targetcost.ode import (DEFAULT_EPSILON, STORE_STRIDE, GCurve, _ladder,
+                            _snapped, chord_lower_bound, curve_invariant_report,
+                            eval_g, eval_g_value, eval_g_z, load_curve,
+                            ode_residuals, policy_cost, save_curve, shoot,
                             value_function)
 from targetcost.verify import _perturbed_curve
 from targetcost.walk import dp_value
@@ -25,21 +24,28 @@ from helpers import (reference_eval_g_z, reference_ivp,
 # Values the calibration must reproduce, pinned from two independent
 # routes: the random-walk program (midpoint value 0.8687 +- 0.001 after
 # refinement, slope -0.49 +- 0.01 by finite differences) and asymptotic
-# tail matching of the equation itself (0.86873, -0.50726).
-TRUE_G_MID_P2 = 0.8687
-TRUE_GAMMA_P2 = -0.5073
+# tail matching of the equation itself (0.86873, -0.50726), to the 1e-5
+# that the kernel is to meet.
+TRUE_G_MID_P2 = 0.86873
+TRUE_GAMMA_P2 = -0.50726
 
-# shoot's (g_mid, gamma) as float.hex when a banded LU factorization did
-# its tridiagonal solves; cyclic reduction moves them by rounding only.
+# shoot's (g_mid, gamma) as float.hex when a banded LU factorization
+# (SciPy's solve_banded) did its tridiagonal solves; cyclic reduction moves
+# them by rounding only.
 SHOOT_BANDED_LU = {
-    1.01: ('0x1.081481b025d8bp-1', '-0x1.0474e1d1bc050p+0'),
-    1.5: ('0x1.9cb1b453552e8p-1', '-0x1.7049ec3509ba2p-1'),
-    2.0: ('0x1.bbbe8b3192ffdp-1', '-0x1.079e61edfcd78p-1'),
-    3.0: ('0x1.cddc335038d9cp-1', '-0x1.89776b6fdf76ep-2'),
-    7.0: ('0x1.d93b062ee56bbp-1', '-0x1.3298e4a6e4aadp-2'),
-    20.0: ('0x1.dc9f786aa193cp-1', '-0x1.18582af1ebddep-2'),
-    50.0: ('0x1.dd85fcd6fde73p-1', '-0x1.115a6165e6894p-2'),
+    1.01: ('0x1.081a95a22fd11p-1', '-0x1.046ca3a7d113dp+0'),
+    1.5: ('0x1.9d0094f87afadp-1', '-0x1.6f3bbf3e7407cp-1'),
+    2.0: ('0x1.bcca9e45c8b04p-1', '-0x1.03b7de9caf4a3p-1'),
+    3.0: ('0x1.d13eaf2cc620bp-1', '-0x1.6f657d583424ep-2'),
+    7.0: ('0x1.e2a34b32d0dedp-1', '-0x1.d1bbb54904cdep-3'),
+    20.0: ('0x1.eb43ca0c13a29p-1', '-0x1.49f16cb7e196ep-3'),
+    50.0: ('0x1.ef2fff9cc6378p-1', '-0x1.0bd7b5473b92ep-3'),
 }
+# The p that every solve-grid invariant is checked at, concave only below
+# CONCAVE_P_MAX: past z = 7.5, where the right tail still matters at p >= 30,
+# y = cdf(z) is too close to 1 for a tangent test in y (CHANGES.md).
+EVERY_P = [1.01, 1.05, 1.1, 1.2, 1.5, 2.0, 3.0, 7.0, 10.0, 20.0, 50.0]
+CONCAVE_P_MAX = 30.0
 
 
 class TestIntegrate:
@@ -51,26 +57,27 @@ class TestIntegrate:
 
     def test_calibrated_pair_meets_boundaries(self, shots_all):
         # The initial-value route from the solved midpoint pair retraces the
-        # whole stored curve, values and slopes, at every stored node.
+        # whole stored curve, values and slopes, at every stored node, and
+        # so lands within the tail target of 1 and 0 at its ends.
         for p, res in shots_all.items():
-            gs, gzs, exit_ = reference_ivp(p, res.g_mid, res.gamma)
+            gs, gzs, exit_ = reference_ivp(p, res.g_mid, res.gamma,
+                                           res.curve.zs)
             assert exit_ is None, p
-            assert abs(gs[0] - 1.0) <= 1e-3
-            assert abs(gs[-1]) <= 1e-3
-            stored = slice(None, None, STORE_STRIDE)
-            assert np.max(np.abs(gs[stored] - res.curve.gs)) <= 1e-9, p
-            assert np.max(np.abs(gzs[stored] - res.curve.gzs)) <= 1e-9, p
+            assert abs(gs[0] - 1.0) <= 1e-9
+            assert abs(gs[-1]) <= 1e-9
+            assert np.max(np.abs(gs - res.curve.gs)) <= 1e-9, p
+            assert np.max(np.abs(gzs - res.curve.gzs)) <= 1e-9, p
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_cell_midpoints_match_ivp(self, shots_all, p):
         # Halfway between stored nodes, the farthest from the data, the
         # evaluator still follows the initial-value route.
         res = shots_all[p]
-        zs = solve_grid(DEFAULT_EPSILON)[::STORE_STRIDE]
+        zs = res.curve.zs
         mids = 0.5 * (zs[:-1] + zs[1:])
-        half = len(mids) // 2
+        half = np.searchsorted(mids, 0.0)
         gs, _, exit_ = reference_ivp(p, res.g_mid, res.gamma,
-                                     nodes=np.insert(mids, half, 0.0))
+                                     np.insert(mids, half, 0.0))
         assert exit_ is None
         gap = np.abs(eval_g_z(res.curve, mids) - np.delete(gs, half))
         assert np.max(gap) <= 1e-9
@@ -79,7 +86,7 @@ class TestIntegrate:
         # The historically reported round pair (0.88, -0.21) integrates
         # cleanly but lands far from both boundary targets; the calibrated
         # pair near (0.8687, -0.5073) is the one that meets them.
-        gs, _, exit_ = reference_ivp(2.0, 0.88, -0.21)
+        gs, _, exit_ = reference_ivp(2.0, 0.88, -0.21, CUTOFF_NODES)
         assert exit_ is None
         assert gs[0] == pytest.approx(0.4229, abs=0.02)
         assert gs[-1] == pytest.approx(0.0925, abs=0.02)
@@ -87,12 +94,14 @@ class TestIntegrate:
     def test_far_too_steep_slope_range_errors_on_left(self):
         # The solution leaves the band [-0.01, 1.01] on the left branch,
         # through its upper bound, below the midpoint.
-        _, _, (branch, side, z_fail) = reference_ivp(2.0, 0.88, -5.0)
+        _, _, (branch, side, z_fail) = reference_ivp(2.0, 0.88, -5.0,
+                                                     CUTOFF_NODES)
         assert branch == "left"
         assert side == "high"
         assert std_normal_cdf(z_fail) < 0.5
 
     def test_residual_contract(self, shots_all):
+        # on the stored nodes, whose stencil is three times the solve's
         for res in shots_all.values():
             assert np.max(ode_residuals(res.curve)) <= 1e-7
 
@@ -110,19 +119,23 @@ class TestIntegrate:
 
 class TestShoot:
     def test_p2_matches_independent_references(self, shot_p2):
-        assert shot_p2.g_mid == pytest.approx(TRUE_G_MID_P2, abs=0.02)
-        assert shot_p2.gamma == pytest.approx(TRUE_GAMMA_P2, abs=0.02)
-        assert shot_p2.curve.left_residual <= 1e-3
-        assert shot_p2.curve.right_residual <= 1e-3
+        assert shot_p2.g_mid == pytest.approx(TRUE_G_MID_P2, abs=1e-5)
+        assert shot_p2.gamma == pytest.approx(TRUE_GAMMA_P2, abs=1e-5)
+        assert shot_p2.curve.left_residual <= DEFAULT_EPSILON
+        assert shot_p2.curve.right_residual <= DEFAULT_EPSILON
 
     @pytest.mark.parametrize("epsilon", [1e-8, 1e-4, 1e-2, 0.09])
     @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 7.0, 50.0])
     def test_stored_ends_are_exactly_one_and_zero(self, p, epsilon):
-        # Both Newton solves hold the chord's end values and the Richardson
-        # step keeps them, so the boundary residuals are exactly 0; a solve
-        # that stops holding the ends has to define what they measure.
-        gs = shoot(p, epsilon).curve.gs
-        assert (gs[0], gs[-1]) == (1.0, 0.0)
+        # Every ladder level and the Richardson step hold the end values, so
+        # the whole-line solve ends exactly at 1 and 0.  The stored curve
+        # ends at the outermost nodes within the tail target epsilon of
+        # them, the residuals, and one stored step inward g is farther.
+        solved, *_ = _ladder(p, epsilon)
+        assert (solved.gs[0], solved.gs[-1]) == (1.0, 0.0)
+        curve = shoot(p, epsilon).curve
+        assert curve.left_residual <= epsilon and curve.right_residual <= epsilon
+        assert 1.0 - curve.gs[1] > epsilon and curve.gs[-2] > epsilon
 
     @pytest.mark.parametrize("p", sorted(SHOOT_BANDED_LU))
     def test_midpoint_pair_within_rounding_of_banded_lu(self, p):
@@ -135,43 +148,78 @@ class TestShoot:
         oracle = dp_value(2000, 1.0, 0.0, 2.0)
         assert abs(shot_p2.g_mid - oracle) <= 0.02
 
-    def test_stored_curve_is_every_seventh_solve_node(self, shot_p2):
-        zs = solve_grid(DEFAULT_EPSILON)
+    def test_stored_curve_is_every_third_richardson_node(self, shot_p2):
+        # On [-8, 9] at p = 2 the Richardson grid holds 3719 nodes; 926 of
+        # every third, counted from z = 0, are more than 1e-10 from 1 and 0
+        # or the outermost such node on either side.
+        solved, mid, _, _ = _ladder(2.0, DEFAULT_EPSILON)
         curve = shot_p2.curve
-        assert (len(zs), len(curve.zs)) == (5951, 851)
-        assert np.array_equal(curve.zs, zs[::STORE_STRIDE])
-        assert np.array_equal(curve.ys, std_normal_cdf(zs[::STORE_STRIDE]))
-        assert curve.gs[len(curve.gs) // 2] == shot_p2.g_mid
+        first = np.flatnonzero(solved.zs == curve.zs[0])[0]
+        stored = slice(first, first + STORE_STRIDE * len(curve.zs), STORE_STRIDE)
+        assert (len(solved.zs), len(curve.zs), STORE_STRIDE) == (3719, 926, 3)
+        for name in ("zs", "gs", "gzs", "ys"):
+            assert np.array_equal(getattr(curve, name),
+                                  getattr(solved, name)[stored]), name
+        assert (mid - first) % STORE_STRIDE == 0
+        assert curve.gs[(mid - first) // STORE_STRIDE] == shot_p2.g_mid
         assert all(ok for ok, _ in shot_p2.invariants.values())
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 20.0])
     def test_thinned_curve_evaluates_like_solve_grid(self, p):
         full = _solve_grid_kernel(p)
         levels = np.linspace(1e-5, 1.0 - 1e-5, 20001)
-        gap = np.abs(eval_g(_thinned(full), levels) - eval_g(full, levels))
+        gap = np.abs(eval_g(shoot(p).curve, levels) - eval_g(full, levels))
         assert np.max(gap) <= 1e-10
+
+    def test_solver_counters(self, shots_all):
+        # Howard steps per ladder level, g_mid's Richardson bar, and the
+        # stored range's rule.
+        for p, steps, bar in ((1.5, [7, 2, 2], 1.0e-8), (2.0, [7, 2, 2], 5.2e-8),
+                              (3.0, [9, 3, 2], 1.2e-7)):
+            solver = shots_all[p].solver
+            assert solver["howard_steps"] == steps
+            assert solver["richardson_bar"] == pytest.approx(bar, rel=0.05)
+            assert solver["tail_target"] == DEFAULT_EPSILON
+            assert solver["stored_dz"] == pytest.approx(
+                shots_all[p].curve.zs[1] - shots_all[p].curve.zs[0], rel=1e-12)
+
+    @pytest.mark.parametrize("p, g_mid", [(1.5, 0.806645064671),
+                                          (2.0, 0.868733354586),
+                                          (3.0, 0.908681368079)])
+    def test_midpoint_within_its_bar_of_a_four_level_ladder(self, shots_all,
+                                                            p, g_mid):
+        # g_mid of a ladder with a fourth level at GRID_DZ / 4, Richardson on
+        # its two finest, to 12 digits: shoot's lies within its own bar of
+        # it, and in fact within 2e-12.
+        res = shots_all[p]
+        assert abs(res.g_mid - g_mid) <= res.solver["richardson_bar"]
+        assert abs(res.g_mid - g_mid) <= 1e-11
+
+    def test_p2_slope_matches_the_whole_line_value(self, shot_p2):
+        assert abs(shot_p2.gamma + 0.5072622) <= 1e-5
 
     def test_midpoint_above_pointwise_lower_bound(self, shots_all):
         for p, res in shots_all.items():
             assert res.g_mid >= 0.5 ** p
 
     def test_non_monotone_solution_is_rejected(self):
-        # Started from cdf(-z) at p = 3, Newton converges to a solution of the
-        # same difference equations that dips below 0; it must not be stored.
-        zs = solve_grid(DEFAULT_EPSILON)
-        spurious = _newton(3.0, zs, std_normal_cdf(-zs),
-                           partial(_kernel_reaction, 3.0))
-        assert np.min(spurious) < -0.1
-        with pytest.raises(CalibrationError):
-            _snapped(3.0, DEFAULT_EPSILON, zs, spurious)
+        # A solution that rises beyond rounding (here a node lifted by 1e-2,
+        # or one that dips below 0) must not be stored.
+        solved = _solve_grid_kernel(3.0)
+        for shift in (1e-2, -1.0):
+            spurious = solved.gs.copy()
+            spurious[len(spurious) // 2] += shift
+            with pytest.raises(CalibrationError):
+                _snapped(3.0, DEFAULT_EPSILON, solved.zs, spurious)
 
     @pytest.mark.parametrize("epsilon", [1e-6, 1e-8, 1e-10])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_small_epsilon_calibrates(self, p, epsilon):
+        # A small tail target stores a wider range, whose ends lie within it.
         res = shoot(p, epsilon)
         for name, (ok, worst) in curve_invariant_report(res.curve).items():
             assert ok, f"p={p} epsilon={epsilon} {name} worst={worst}"
-        assert res.curve.left_residual <= 1e-3 and res.curve.right_residual <= 1e-3
+        assert max(res.curve.left_residual, res.curve.right_residual) <= epsilon
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -196,26 +244,37 @@ class TestPolicyCost:
     """policy_cost scores a curve's feedback by its exact cost."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_converged_kernel_costs_its_own_value(self, p):
-        # With the cutoff far out the kernel is the ODE's solution, so its
-        # own feedback costs its midpoint value.
-        res = shoot(p, 1e-12)
+    def test_converged_kernel_costs_its_own_value(self, shots_all, p):
+        # The whole-line kernel is the ODE's solution, so its own feedback
+        # costs its midpoint value: an independent route to g_mid.
+        res = shots_all[p]
         cost, bar, valid = policy_cost(res.curve)
         assert valid and bar <= 1e-7
-        assert abs(cost - res.g_mid) <= 1e-7
+        assert abs(cost - res.g_mid) <= 1e-9
 
     def test_default_cutoff_shows_as_excess_cost(self, shot_p2):
-        cost, bar, valid = policy_cost(shot_p2.curve)
+        # The curve stored only over the 1e-4 quantiles, the cutoff of the
+        # former default, holds end values 3.0e-6 and 2.3e-3 off 1 and 0
+        # beyond them; its feedback costs 2.875e-5 more.
+        curve = shot_p2.curve
+        inside = np.abs(curve.zs) <= CUTOFF_NODES[-1]
+        short = replace(curve, zs=curve.zs[inside], gs=curve.gs[inside],
+                        gzs=curve.gzs[inside])
+        cost, bar, valid = policy_cost(short)
         assert valid and bar <= 1e-7
-        assert cost - shot_p2.g_mid == pytest.approx(2.09e-3, abs=1e-5)
+        assert cost - shot_p2.g_mid == pytest.approx(2.875e-5, abs=1e-7)
 
     @pytest.mark.parametrize("p", [7.0, 20.0])
     def test_negative_phi_is_not_valid(self, p):
-        # The default curve's feedback stops beyond its cutoff, and at large
-        # p the solved phi dips below 0 there: no expected cost.
-        assert policy_cost(shoot(p).curve)[2] is False
+        # A feedback that stops (g = 0) beyond the 1e-4 quantile, as one cut
+        # off there did: at large p the solved phi dips below 0 past it, so
+        # phi(0) is no expected cost.
+        curve = shoot(p).curve
+        cut = replace(curve, gs=np.where(curve.zs > CUTOFF_NODES[-1], 0.0,
+                                         curve.gs))
+        assert policy_cost(cut)[2] is False
 
-    @pytest.mark.parametrize("amp, gap", [(0.01, 3.05e-5), (-0.01, 8.25e-5)])
+    @pytest.mark.parametrize("amp, gap", [(0.01, 5.590e-5), (-0.01, 5.708e-5)])
     def test_small_bumps_cost_their_exact_gap(self, curve_p2, amp, gap):
         # Three paired Monte Carlo stderrs at 100k x 2000 steps are about
         # 2e-4, too wide for these gaps; the exact ones clear three bars.
@@ -239,12 +298,20 @@ class TestCurveInvariants:
             curve = res.curve
             assert np.all(curve.gs >= (1.0 - curve.ys) ** p - 1e-6)
 
+    @pytest.mark.parametrize("p", EVERY_P)
+    def test_solve_grid_invariants_at_every_p(self, p):
+        # A cut-off solve missed lower_bound at p <= 1.2 (by about
+        # epsilon^p) and ode_residual at p >= 7.
+        report = shoot(p).invariants
+        checked = [k for k in report if k != "concave" or p < CONCAVE_P_MAX]
+        assert [k for k in checked if not report[k][0]] == []
+
     @pytest.mark.parametrize("amp", [0.05, -0.05, 1e-3, -1e-3])
     @pytest.mark.parametrize("grid", ["solve", "stored"])
-    def test_concavity_catches_bumps(self, solve_grid_p2, grid, amp):
+    def test_concavity_catches_bumps(self, solve_grid_p2, curve_p2, grid, amp):
         # The tangent check is in value units: the true kernel passes on
         # either grid, and a bump reads its own height on either grid.
-        curve = solve_grid_p2 if grid == "solve" else _thinned(solve_grid_p2)
+        curve = solve_grid_p2 if grid == "solve" else curve_p2
         ok, worst = curve_invariant_report(curve)["concave"]
         assert ok and worst <= 1e-10
         bumped = _perturbed_curve(curve, amp, 0.3, 0.7)
@@ -359,14 +426,18 @@ class TestEvalG:
         assert eval_g(shot_p2.curve, 0.5) == shot_p2.g_mid
 
     def test_near_left_cutoff(self, curve_p2):
-        # below the cutoff the value is the stored end, 1, and g_z is 0
+        # below the stored range the value is the stored end, within the
+        # tail target of 1, and g_z is 0
+        assert 1.0 - curve_p2.gs[0] <= curve_p2.epsilon
         for y in (curve_p2.epsilon / 2.0, curve_p2.epsilon / 10.0):
-            assert eval_g(curve_p2, y) == curve_p2.gs[0] == 1.0
+            assert eval_g(curve_p2, y) == curve_p2.gs[0]
             assert _tail_slope(curve_p2, y) == 0.0
 
     def test_near_right_cutoff(self, curve_p2):
-        y = 1.0 - curve_p2.epsilon / 2.0
-        assert eval_g(curve_p2, y) == curve_p2.gs[-1] == 0.0
+        # halfway into the level mass above the stored range
+        y = 1.0 - 0.5 * std_normal_cdf(-curve_p2.zs[-1])
+        assert curve_p2.gs[-1] <= curve_p2.epsilon
+        assert eval_g(curve_p2, y) == curve_p2.gs[-1]
         assert _tail_slope(curve_p2, y) == 0.0
 
     def test_interior_interpolation_monotone(self, curve_p2):
@@ -380,8 +451,8 @@ class TestEvalG:
     def test_analytic_kernel_off_nodes(self):
         # g = (1 - y)^2 stored on the solve grid, uniform in z; between
         # nodes the value and the slope g_z must follow the exact kernel.
-        zs = solve_grid(DEFAULT_EPSILON)
-        curve = _analytic_curve(zs, DEFAULT_EPSILON)
+        zs = _cutoff_grid(1e-4)
+        curve = _analytic_curve(zs, 1e-4)
         levels = std_normal_cdf(np.linspace(zs[0], zs[-1], 7919)[1:-1])
         g = eval_g(curve, levels)
         assert np.max(np.abs(g - (1.0 - levels) ** 2)) <= 1e-12
@@ -437,31 +508,34 @@ def _analytic_curve(zs, epsilon):
                   gzs=-2.0 * (1.0 - ys) * std_normal_pdf(zs), epsilon=epsilon)
 
 
+def _cutoff_grid(epsilon):
+    """The solve grid of a kernel cut off at epsilon: uniform in z on
+    [quantile(epsilon), -quantile(epsilon)], step near 1.25e-3, with a
+    multiple of 7 steps per side (5951 nodes at 1e-4)."""
+    z_edge = -std_normal_quantile(epsilon)
+    n_half = 7 * max(1, round(z_edge / (7 * 1.25e-3)))
+    return z_edge / n_half * np.arange(-n_half, n_half + 1)
+
+
+# The 1e-4 quantiles and z = 0, the ends of a kernel cut off at 1e-4.
+CUTOFF_NODES = np.array([std_normal_quantile(1e-4), 0.0,
+                         -std_normal_quantile(1e-4)])
+
+
 def _synthetic_curve(epsilon):
-    """g = (1 - y)^2 on every node of the solve grid at epsilon, the rows
-    a curve file held before curves were thinned to every STORE_STRIDE-th
-    node."""
-    return _analytic_curve(solve_grid(epsilon), epsilon)
+    """g = (1 - y)^2 on every node of _cutoff_grid(epsilon), the rows a
+    curve file held before curves were thinned."""
+    return _analytic_curve(_cutoff_grid(epsilon), epsilon)
 
 
 def _solve_grid_kernel(p):
-    """The kernel on every node of the solve grid at the default epsilon,
-    from one Newton solve (no Richardson step)."""
-    zs = solve_grid(DEFAULT_EPSILON)
-    return _snapped(p, DEFAULT_EPSILON, zs,
-                    _newton(p, zs, 0.5 - zs / (2.0 * zs[-1]),
-                            partial(_kernel_reaction, p)))
+    """The kernel on every Richardson node, where shoot checks it."""
+    return _ladder(p, DEFAULT_EPSILON)[0]
 
 
 @pytest.fixture(scope="module")
 def solve_grid_p2():
     return _solve_grid_kernel(2.0)
-
-
-def _thinned(curve):
-    keep = slice(None, None, STORE_STRIDE)
-    return GCurve(p=curve.p, zs=curve.zs[keep], gs=curve.gs[keep],
-                  gzs=curve.gzs[keep], epsilon=curve.epsilon)
 
 
 class TestSerialization:
@@ -491,14 +565,14 @@ class TestSerialization:
         assert np.array_equal(ode_residuals(loaded), ode_residuals(shot_p2.curve))
         assert curve_invariant_report(loaded) == curve_invariant_report(shot_p2.curve)
 
-    @pytest.mark.parametrize("epsilon", [1e-6, 1e-8, DEFAULT_EPSILON])
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-8, 1e-4])
     def test_small_epsilon_round_trip_evaluates(self, epsilon, tmp_path):
-        # The file holds every solve node, as curve files did before
-        # thinning (5951 rows at the default epsilon), and still loads.
+        # The file holds every node of a cut-off solve grid, as curve files
+        # did before thinning (5951 rows at 1e-4), and still loads.
         curve = _synthetic_curve(epsilon)
         save_curve(curve, tmp_path / "c.csv", tmp_path / "c.json")
         loaded, _ = load_curve(tmp_path / "c.csv", tmp_path / "c.json")
-        assert np.array_equal(loaded.zs, solve_grid(epsilon))
+        assert np.array_equal(loaded.zs, _cutoff_grid(epsilon))
         levels = np.linspace(epsilon, 1.0 - epsilon, 2001)
         g = eval_g(loaded, levels)
         assert np.array_equal(g, eval_g(curve, levels))

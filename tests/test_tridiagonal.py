@@ -69,12 +69,28 @@ def test_random_dominant_systems(n):
         assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 1000])
+def test_end_coefficients_are_not_read(n):
+    # sub[0] and sup[-1] reach past the system; _linear_solve hands them
+    # over as they are, so whatever they hold, inf and NaN included, gives
+    # the same solution.
+    rng = np.random.default_rng(n + 1)
+    sub, diag, sup, rhs = _random_dominant(n, rng)
+    x = _tridiagonal_solve(sub, diag, sup, rhs)
+    for ends in ((1.5, -2.0), (np.inf, np.nan)):
+        sub[0], sup[-1] = ends
+        assert np.array_equal(_tridiagonal_solve(sub, diag, sup, rhs), x)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_newton_jacobians(monkeypatch, p):
-    # shoot's six chord-start steps on the solve grid, then two on the grid
-    # of half its step.
+    # shoot's Howard steps, Newton steps on the HJB equation, on the three
+    # ladder levels: each level has 2 n + 1 rows where the one below has n.
+    steps = {1.5: [7, 2, 2], 2.0: [7, 2, 2], 3.0: [9, 3, 2]}[p]
     systems = _recorded_systems(monkeypatch, lambda: shoot(p))
-    assert [len(s[1]) for s in systems] == [5949] * 6 + [11899] * 2
+    rows = len(systems[0][1])
+    assert [len(s[1]) for s in systems] == (
+        [rows] * steps[0] + [2 * rows + 1] * steps[1] + [4 * rows + 3] * steps[2])
     for sub, diag, sup, rhs in systems:
         x = _tridiagonal_solve(sub, diag, sup, rhs)
         assert _backward_error(sub, diag, sup, rhs, x) <= 1e-12
@@ -82,10 +98,11 @@ def test_newton_jacobians(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_policy_cost_operators(monkeypatch, shots_all, p):
-    # The linear cost-to-go equation on policy_cost's two grids.
+    # The linear cost-to-go equation on policy_cost's two grids, one solve
+    # each.
     systems = _recorded_systems(
         monkeypatch, lambda: policy_cost(shots_all[p].curve))
-    assert len({len(s[1]) for s in systems}) == 2
+    assert len(systems) == len({len(s[1]) for s in systems}) == 2
     for sub, diag, sup, rhs in systems:
         x = _tridiagonal_solve(sub, diag, sup, rhs)
         assert _backward_error(sub, diag, sup, rhs, x) <= 1e-12
@@ -94,7 +111,7 @@ def test_policy_cost_operators(monkeypatch, shots_all, p):
 @pytest.mark.parametrize("n", [63, 64, 65, 129, 1000])
 def test_grid_operator_against_dense(n):
     # The kernel ODE's difference operator on a grid of n interior nodes
-    # spanning the default cutoff, with f'(g) between its extremes at p = 2.
+    # spanning the 1e-4 quantiles, with f'(g) between its extremes at p = 2.
     rng = np.random.default_rng(n)
     zs = np.linspace(-3.72, 3.72, n + 2)
     h, zi = zs[1] - zs[0], zs[1:-1]
@@ -110,7 +127,8 @@ def test_grid_operator_against_dense(n):
 
 
 def test_leaves_its_inputs_alone():
-    # _newton hands the same sub- and super-diagonals to every step.
+    # _linear_solve hands the same sub- and super-diagonals to every
+    # Howard step on a grid.
     rng = np.random.default_rng(7)
     system = _random_dominant(5949, rng)
     copies = [a.copy() for a in system]
